@@ -24,7 +24,10 @@ package behavior
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
+	"strconv"
 	"time"
 
 	"footsteps/internal/clock"
@@ -207,6 +210,19 @@ func (p *Population) SetStepPool(pool *step.Pool) { p.steps = pool }
 // buffers (on by default; reuse never changes the event stream).
 func (p *Population) SetScratchReuse(on bool) { p.noReuse = !on }
 
+// Reserve pre-sizes the member index for n more members, so a
+// population of known size is registered without rehashing the member
+// map or regrowing the member list.
+func (p *Population) Reserve(n int) {
+	if n <= 0 {
+		return
+	}
+	members := make(map[platform.AccountID]*member, len(p.members)+n)
+	maps.Copy(members, p.members)
+	p.members = members
+	p.ids = slices.Grow(p.ids, n)
+}
+
 // AddMembers grows the general population by n members drawn from
 // GeneralSpec and returns their IDs.
 func (p *Population) AddMembers(n int) []platform.AccountID {
@@ -241,7 +257,7 @@ func (p *Population) addFromSpec(label string, spec PoolSpec, n int) []platform.
 			LikeToFollow:   jitterRate(p.rng, spec.LikeToFollow),
 			FollowToFollow: jitterRate(p.rng, spec.FollowToFollow),
 		}
-		username := fmt.Sprintf("org-%s-%d", label, p.nextName)
+		username := "org-" + label + "-" + strconv.Itoa(p.nextName)
 		// Organic members keep modest profiles: a couple of photos so
 		// their posts can receive likes.
 		id, err := p.plat.RegisterAccount(username, "pw-"+username, platform.Profile{

@@ -1,6 +1,7 @@
 package behavior
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -96,7 +97,7 @@ func (p *Population) RestoreState(st *State) {
 	p.rng.SetState(st.RNG)
 	p.nextName = st.NextName
 	clear(p.members)
-	p.ids = p.ids[:0]
+	p.ids = slices.Grow(p.ids[:0], len(st.Members))
 	p.general = append(p.general[:0], st.General...)
 	clear(p.pools)
 	for i := range st.Members {

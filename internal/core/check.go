@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"footsteps/internal/aas"
@@ -150,8 +151,15 @@ func CheckBusiness(r *BusinessResults) []Finding {
 	add("T9 tiers dwarf ads", tierTotal(r) > 10*r.Table9.AdRevenueHigh,
 		fmt.Sprintf("tiers $%.0f vs ads ≤ $%.0f", tierTotal(r), r.Table9.AdRevenueHigh))
 
-	// Table 10: repeat customers dominate everywhere.
-	for label, s := range r.Table10 {
+	// Table 10: repeat customers dominate everywhere. Labels are walked
+	// in sorted order so the printed check list is stable run to run.
+	labels := make([]string, 0, len(r.Table10))
+	for label := range r.Table10 {
+		labels = append(labels, label)
+	}
+	sort.Strings(labels)
+	for _, label := range labels {
+		s := r.Table10[label]
 		add("T10 "+label+" preexisting majority", s.PreexistingFraction > 0.5,
 			fmt.Sprintf("%.2f", s.PreexistingFraction))
 	}

@@ -113,7 +113,9 @@ func RestoreWorld(cfg Config, r io.Reader) (*World, error) {
 	// Overwrite every component's mutable state.
 	w.RNG.SetState(st.Root)
 	w.Reg.RestoreAlloc(st.NetAlloc)
-	w.Plat.RestoreState(st.Platform)
+	if err := w.Plat.RestoreState(st.Platform); err != nil {
+		return nil, err
+	}
 	w.graph.RestoreState(st.Graph)
 	w.Pop.RestoreState(st.Behavior)
 	w.Honeypots.RestoreState(st.Honeypots)

@@ -109,6 +109,7 @@ func NewWorld(cfg Config) *World {
 	graph := socialgraph.NewSharded(cfg.Shards)
 	graph.WireTelemetry(cfg.Telemetry)
 	plat := platform.New(pcfg, graph, reg, sched)
+	plat.Reserve(constructionAccounts(cfg))
 	plat.WireTelemetry(cfg.Telemetry)
 	// Span tracing wires in before any traffic, like telemetry: the first
 	// login is already spanned. BindClock gives the tracer the simulated
@@ -166,10 +167,11 @@ func NewWorld(cfg Config) *World {
 	w.Pop = behavior.New(behavior.DefaultModel(), plat, sched, root.Split("population"))
 	w.Pop.SetStepPool(w.Steps)
 	w.Pop.SetScratchReuse(!cfg.DisableScratchReuse)
+	w.Pop.Reserve(cfg.OrganicPopulation + curatedPools()*cfg.PoolSize)
 	w.Pop.AddMembers(cfg.OrganicPopulation)
 
 	// High-profile celebrity accounts for lived-in honeypot setup.
-	for i := 0; i < 30; i++ {
+	for i := 0; i < celebrities; i++ {
 		id, err := plat.RegisterAccount(fmt.Sprintf("celebrity-%d", i), "pw-celeb",
 			platform.Profile{PhotoCount: 40, HasProfilePic: true, HasBio: true, HasName: true}, "USA")
 		if err != nil {
@@ -230,6 +232,29 @@ func NewWorld(cfg Config) *World {
 		}
 	}
 	return w
+}
+
+// celebrities is the number of high-profile accounts NewWorld registers
+// for lived-in honeypot setup.
+const celebrities = 30
+
+// curatedPools counts the catalog services NewWorld gives a curated
+// target pool of cfg.PoolSize organic members: every reciprocity AAS.
+func curatedPools() int {
+	n := 0
+	for _, spec := range aas.Catalog() {
+		if spec.Technique == aas.TechniqueReciprocity {
+			n++
+		}
+	}
+	return n
+}
+
+// constructionAccounts is the number of accounts NewWorld registers:
+// the organic population, the curated pools, the celebrities and the
+// VPN users. The platform reserves its tables for them up front.
+func constructionAccounts(cfg Config) int {
+	return cfg.OrganicPopulation + curatedPools()*cfg.PoolSize + celebrities + cfg.VPNUsers
 }
 
 // setupVPNUsers creates benign users whose traffic shares Hublaagram's US

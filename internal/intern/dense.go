@@ -1,5 +1,10 @@
 package intern
 
+import (
+	"maps"
+	"slices"
+)
+
 // Dense assigns compact uint32 slots to sparse uint64 identifiers so
 // struct-of-arrays tables can be indexed by a small dense integer
 // instead of a map lookup per field. It is the ID half of the interning
@@ -34,6 +39,20 @@ func (d *Dense) Index(id uint64) uint32 {
 	d.slot[id] = s
 	d.ids = append(d.ids, id)
 	return s
+}
+
+// Grow pre-sizes the allocator for n more slots, so the next n fresh
+// IDs are assigned without rehashing the slot map or regrowing the
+// reverse table. Call it before a known burst of assignments, such as
+// registering a world's population; it never changes any assignment.
+func (d *Dense) Grow(n int) {
+	if n <= 0 {
+		return
+	}
+	d.ids = slices.Grow(d.ids, n)
+	slot := make(map[uint64]uint32, len(d.slot)+n)
+	maps.Copy(slot, d.slot)
+	d.slot = slot
 }
 
 // Lookup returns the slot already assigned to id, or ok=false if id has

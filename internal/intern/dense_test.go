@@ -112,3 +112,33 @@ func TestDenseNoCollisionNoRecycle(t *testing.T) {
 		t.Fatalf("Len = %d, distinct IDs = %d", d.Len(), len(seen))
 	}
 }
+
+// TestDenseGrow: Grow keeps every existing assignment, and the n fresh
+// IDs that follow it are assigned without allocating.
+func TestDenseGrow(t *testing.T) {
+	var d Dense
+	d.Index(40)
+	d.Index(2)
+	// AllocsPerRun calls the function once to warm up, then once more.
+	const n = 1000
+	d.Grow(2 * n)
+	if got, ok := d.Lookup(40); !ok || got != 0 {
+		t.Fatalf("Lookup(40) after Grow = %d,%v, want 0,true", got, ok)
+	}
+	if got, ok := d.Lookup(2); !ok || got != 1 {
+		t.Fatalf("Lookup(2) after Grow = %d,%v, want 1,true", got, ok)
+	}
+	next := uint64(100)
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < n; i++ {
+			next++
+			d.Index(next)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%d Index calls after Grow(%d) allocated %v times, want 0", n, 2*n, allocs)
+	}
+	if d.Len() != 2*n+2 || d.ID(uint32(2*n+1)) != next {
+		t.Fatalf("Len = %d, last ID = %d; want %d, %d", d.Len(), d.ID(uint32(d.Len()-1)), 2*n+2, next)
+	}
+}

@@ -29,6 +29,7 @@ package platform
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"net/netip"
 	"sync"
 	"sync/atomic"
@@ -91,8 +92,8 @@ type Config struct {
 	// OAuthHourlyLimit caps the public API "in a manner that precludes
 	// broad abusive use" (§2) — far below the private limit.
 	OAuthHourlyLimit int
-	// Shards is the lock-stripe count for mutable platform state
-	// (accounts, sessions, rate-limit buckets, post index). 0 means
+	// Shards is the lock-stripe count for mutable per-account platform
+	// state (accounts, sessions, rate-limit buckets). 0 means
 	// DefaultShards. Purely a concurrency knob: the event stream is
 	// byte-identical at every shard count (see docs/ARCHITECTURE.md).
 	Shards int
@@ -144,11 +145,11 @@ func (f GatekeeperFunc) Check(req Event) Verdict { return f(req) }
 // concurrent use. Mutable state is partitioned into lock-striped shards
 // keyed by a stable hash of AccountID (shard.go): pure queries (Exists,
 // LatestPost, PostAuthor, Posts, RecentByTag, …) take only the owning
-// stripe's read lock, so the parallel stepping engine's intent-generation
-// phase can interrogate platform state from many workers at once, and
-// mutations — registration, login, and the Do(Request) action pipeline
-// with its rate-limit and gatekeeper checks — lock only the stripes they
-// touch. In simulation, mutation runs on the single apply goroutine; the
+// stripe's (or the post index's) read lock, so the parallel stepping
+// engine's intent-generation phase can interrogate platform state from
+// many workers at once, and mutations — registration, login, and the
+// Do(Request) action pipeline with its rate-limit and gatekeeper checks
+// — lock only the stripes they touch. In simulation, mutation runs on the single apply goroutine; the
 // striping is what lets many planners read while it writes.
 type Platform struct {
 	cfg   Config
@@ -160,11 +161,10 @@ type Platform struct {
 	tags *hashtagIndex
 
 	// shards stripe the account records and their rate-limit buckets by
-	// hash(AccountID); postIdx stripes the post→author index by
-	// hash(PostID). nextPost allocates post IDs in stateless
-	// (GraphWrites off) mode.
+	// hash(AccountID); posts is the dense post→author index. nextPost
+	// allocates post IDs in stateless (GraphWrites off) mode.
 	shards   []*shard
-	postIdx  []*postStripe
+	posts    postIndex
 	nextPost atomic.Uint64
 
 	// nameMu guards the username index and serializes registration and
@@ -231,9 +231,9 @@ type platformMetrics struct {
 // WireTelemetry registers the platform's metric set in reg and starts
 // recording. Call during construction, before traffic; a nil registry is
 // a no-op (telemetry stays off). Besides the event and enforcement
-// counters, each lock stripe gets a contention counter
-// (platform.shard.NN.contention, platform.postshard.NN.contention)
-// counting acquisitions that found the stripe already held.
+// counters, each account shard gets a contention counter
+// (platform.shard.NN.contention) counting acquisitions that found the
+// stripe already held.
 func (p *Platform) WireTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
 		return
@@ -257,9 +257,6 @@ func (p *Platform) WireTelemetry(reg *telemetry.Registry) {
 	reg.Gauge("platform.shards").Set(int64(len(p.shards)))
 	for i, sh := range p.shards {
 		sh.contention = reg.Counter(fmt.Sprintf("platform.shard.%02d.contention", i))
-	}
-	for i, ps := range p.postIdx {
-		ps.contention = reg.Counter(fmt.Sprintf("platform.postshard.%02d.contention", i))
 	}
 	p.tel = m
 }
@@ -287,16 +284,38 @@ func New(cfg Config, g *socialgraph.Graph, net *netsim.Registry, sched *clock.Sc
 		sched:      sched,
 		tags:       newHashtagIndex(),
 		shards:     make([]*shard, n),
-		postIdx:    make([]*postStripe, n),
 		byUsername: make(map[string]AccountID),
 	}
 	for i := range p.shards {
 		p.shards[i] = newShard()
 	}
-	for i := range p.postIdx {
-		p.postIdx[i] = &postStripe{author: make(map[PostID]AccountID)}
-	}
 	return p
+}
+
+// Reserve pre-sizes the platform and its graph for accounts more
+// registrations: each shard's account table, rate-limit arrays and
+// dense-row map get their share of the population (plus slack for hash
+// imbalance), and the username index is sized once. A world that knows
+// its population up front calls it before registering, so construction
+// allocates each table once at its final size instead of doubling its
+// way there. It never changes any ID, row or event.
+func (p *Platform) Reserve(accounts int) {
+	if accounts <= 0 {
+		return
+	}
+	per := socialgraph.ShardCapacity(accounts, len(p.shards))
+	for _, sh := range p.shards {
+		sh.lock()
+		sh.tab.grow(per)
+		sh.limiter.reserve(sh.tab.len() + per)
+		sh.mu.Unlock()
+	}
+	p.nameMu.Lock()
+	byUsername := make(map[string]AccountID, len(p.byUsername)+accounts)
+	maps.Copy(byUsername, p.byUsername)
+	p.byUsername = byUsername
+	p.nameMu.Unlock()
+	p.graph.Reserve(accounts)
 }
 
 // Shards reports the configured lock-stripe count.
@@ -358,6 +377,9 @@ func (p *Platform) RegisterAccount(username, password string, profile Profile, h
 	sh.lock()
 	r := sh.tab.add(id, username, password, profile, homeCountry, p.clk.Now())
 	// The profile's initial photos exist as posts.
+	if profile.PhotoCount > 0 {
+		sh.tab.posts[r] = make([]PostID, 0, profile.PhotoCount)
+	}
 	for i := 0; i < profile.PhotoCount; i++ {
 		p.addPostLocked(sh, r)
 	}
@@ -370,8 +392,8 @@ func (p *Platform) RegisterAccount(username, password string, profile Profile, h
 }
 
 // addPostLocked creates a post for row r of sh, whose lock the caller
-// holds. It takes the post-index stripe lock for the new ID — account
-// shard before post stripe is the canonical order.
+// holds. It takes the post-index lock — account shard before post index
+// is the canonical order.
 func (p *Platform) addPostLocked(sh *shard, r uint32) PostID {
 	id := sh.tab.id(r)
 	var pid PostID
@@ -385,10 +407,9 @@ func (p *Platform) addPostLocked(sh *shard, r uint32) PostID {
 		pid = PostID(p.nextPost.Add(1))
 	}
 	sh.tab.posts[r] = append(sh.tab.posts[r], pid)
-	ps := p.postStripeFor(pid)
-	ps.lock()
-	ps.author[pid] = id
-	ps.mu.Unlock()
+	p.posts.mu.Lock()
+	p.posts.set(pid, id)
+	p.posts.mu.Unlock()
 	return pid
 }
 
@@ -413,12 +434,11 @@ func (p *Platform) DeleteAccount(id AccountID) error {
 	if m := p.tel; m != nil {
 		m.accounts.Add(-1)
 	}
+	p.posts.mu.Lock()
 	for _, pid := range posts {
-		ps := p.postStripeFor(pid)
-		ps.lock()
-		delete(ps.author, pid)
-		ps.mu.Unlock()
+		p.posts.author[pid] = 0
 	}
+	p.posts.mu.Unlock()
 	if p.cfg.GraphWrites {
 		return p.graph.DeleteAccount(id)
 	}
@@ -537,11 +557,9 @@ func (p *Platform) LatestPost(id AccountID) (PostID, bool) {
 
 // PostAuthor resolves a post to its author.
 func (p *Platform) PostAuthor(pid PostID) (AccountID, bool) {
-	ps := p.postStripeFor(pid)
-	ps.rlock()
-	defer ps.mu.RUnlock()
-	id, ok := ps.author[pid]
-	return id, ok
+	p.posts.mu.RLock()
+	defer p.posts.mu.RUnlock()
+	return p.posts.get(pid)
 }
 
 // LikeCount returns the number of likes on pid as tracked by the platform

@@ -1,6 +1,9 @@
 package platform
 
-import "time"
+import (
+	"slices"
+	"time"
+)
 
 // hourlyLimiter enforces a per-account actions-per-hour cap using fixed
 // hourly buckets on the simulated clock. Fixed windows are what large
@@ -31,6 +34,14 @@ func (l *hourlyLimiter) ensure(r uint32) {
 	for int(r) >= len(l.hours) {
 		l.hours = append(l.hours, 0)
 		l.counts = append(l.counts, 0)
+	}
+}
+
+// reserve pre-sizes the arrays to cover rows rows.
+func (l *hourlyLimiter) reserve(rows int) {
+	if n := rows - len(l.hours); n > 0 {
+		l.hours = slices.Grow(l.hours, n)
+		l.counts = slices.Grow(l.counts, n)
 	}
 }
 

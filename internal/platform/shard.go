@@ -9,11 +9,11 @@ import (
 // The platform's mutable per-account state — the account records
 // themselves (credentials, profile, session epoch, posts, like counts)
 // and the hourly rate-limit buckets — is partitioned into N lock-striped
-// shards keyed by a stable hash of AccountID. The post→author index is
-// striped the same way by PostID. Striping lets the parallel planning
-// phase read different accounts without rendezvousing on one global
-// RWMutex, and lets independent apply-path mutations proceed without
-// false sharing of a single lock.
+// shards keyed by a stable hash of AccountID. Striping lets the parallel
+// planning phase read different accounts without rendezvousing on one
+// global RWMutex, and lets independent apply-path mutations proceed
+// without false sharing of a single lock. The post→author index is one
+// dense table under its own lock (postIndex, below).
 //
 // Shard count is a pure performance knob: the hash is a fixed function
 // of the ID (never of the shard count's runtime environment), every
@@ -22,7 +22,7 @@ import (
 // identical at every shard count (enforced in internal/simtest).
 //
 // Lock-ordering rule (deadlock freedom): nameMu → account shard →
-// post-index stripe → socialgraph locks. Paths that need two locks of
+// post-index lock → socialgraph locks. Paths that need two locks of
 // the same family take them in ascending shard-index order; no path
 // acquires an earlier-ranked lock while holding a later-ranked one.
 
@@ -92,30 +92,32 @@ func (p *Platform) shardFor(id AccountID) *shard {
 	return p.shards[shardHash(uint64(id))%uint64(len(p.shards))]
 }
 
-// postStripe is one stripe of the post→author index.
-type postStripe struct {
-	mu         sync.RWMutex
-	author     map[PostID]AccountID
-	contention *telemetry.Counter
+// postIndex is the post→author index. Post IDs are minted densely from
+// 1 in both graph modes (by the graph with GraphWrites on, by
+// Platform.nextPost with it off), so the index is a slice indexed by
+// PostID rather than a hash map: 4 bytes per post, no hashing, and no
+// rehash garbage as it grows. Author 0 means the post does not exist or
+// its author was deleted; AccountIDs count from 1 and fit uint32, since
+// the graph refuses to mint past that range.
+type postIndex struct {
+	mu     sync.RWMutex
+	author []uint32 // PostID → AccountID; 0 = absent
 }
 
-func (s *postStripe) lock() {
-	if s.mu.TryLock() {
-		return
+// set records pid's author; the caller holds mu for writing. Posts are
+// minted in ID order, so the slice almost always grows by one slot at
+// the end; the gap fill covers concurrent minting racing to the lock.
+func (x *postIndex) set(pid PostID, author AccountID) {
+	if n := int(pid) + 1 - len(x.author); n > 0 {
+		x.author = append(x.author, make([]uint32, n)...)
 	}
-	s.contention.Inc()
-	s.mu.Lock()
+	x.author[pid] = uint32(author)
 }
 
-func (s *postStripe) rlock() {
-	if s.mu.TryRLock() {
-		return
+// get resolves pid to its live author; the caller holds mu.
+func (x *postIndex) get(pid PostID) (AccountID, bool) {
+	if pid >= PostID(len(x.author)) || x.author[pid] == 0 {
+		return 0, false
 	}
-	s.contention.Inc()
-	s.mu.RLock()
-}
-
-// postStripeFor returns the stripe owning the post's author record.
-func (p *Platform) postStripeFor(pid PostID) *postStripe {
-	return p.postIdx[shardHash(uint64(pid))%uint64(len(p.postIdx))]
+	return AccountID(x.author[pid]), true
 }

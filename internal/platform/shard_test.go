@@ -142,7 +142,8 @@ func TestPlatformShardEquivalence(t *testing.T) {
 }
 
 // TestPlatformContentionCounters checks WireTelemetry registers one
-// contention counter per stripe and the shards gauge.
+// contention counter per account shard and the shards gauge. The post
+// index is a single dense table, not a stripe family, so it has none.
 func TestPlatformContentionCounters(t *testing.T) {
 	t.Parallel()
 	reg := netsim.NewRegistry()
@@ -158,13 +159,9 @@ func TestPlatformContentionCounters(t *testing.T) {
 		t.Errorf("platform.shards gauge = %d, want 3", g)
 	}
 	for i := 0; i < 3; i++ {
-		for _, name := range []string{
-			fmt.Sprintf("platform.shard.%02d.contention", i),
-			fmt.Sprintf("platform.postshard.%02d.contention", i),
-		} {
-			if _, ok := snap.Counters[name]; !ok {
-				t.Errorf("counter %q not registered", name)
-			}
+		name := fmt.Sprintf("platform.shard.%02d.contention", i)
+		if _, ok := snap.Counters[name]; !ok {
+			t.Errorf("counter %q not registered", name)
 		}
 	}
 }

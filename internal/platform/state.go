@@ -1,9 +1,14 @@
 package platform
 
 import (
+	"fmt"
+	"math"
 	"net/netip"
+	"slices"
 	"sort"
 	"time"
+
+	"footsteps/internal/socialgraph"
 )
 
 // This file is the platform's half of the snapshot/restore contract (see
@@ -196,24 +201,49 @@ func (p *Platform) SnapshotState() *State {
 // The caller is responsible for re-registering the pending enforcements'
 // scheduler events via RestoreEnforcements (after the scheduler has been
 // fast-forwarded to the snapshot instant).
-func (p *Platform) RestoreState(st *State) {
+//
+// A state the post→author index cannot hold — an account ID past
+// uint32, or a post ID above the number of posts listed (IDs are minted
+// densely from 1 and each is listed once, under its author) — can only
+// come from a corrupt snapshot; RestoreState rejects it with an error
+// before touching anything.
+func (p *Platform) RestoreState(st *State) error {
+	var posts, highest uint64
+	for i := range st.Accounts {
+		as := &st.Accounts[i]
+		if as.ID > math.MaxUint32 {
+			return fmt.Errorf("platform: restore: account ID %d exceeds the uint32 ID space", as.ID)
+		}
+		posts += uint64(len(as.Posts))
+		for _, pid := range as.Posts {
+			highest = max(highest, uint64(pid))
+		}
+	}
+	if highest > posts {
+		return fmt.Errorf("platform: restore: post ID %d exceeds the %d posts listed", highest, posts)
+	}
+
 	p.nextPost.Store(st.NextPost)
 	p.log.RestoreSeq(st.LogSeq)
 
+	// Size every table for the snapshot's rows up front, as Reserve does
+	// for a fresh world, so recovery pays no growth either. The post
+	// index needs one slot per listed post plus the unused slot 0.
+	per := socialgraph.ShardCapacity(len(st.Accounts), len(p.shards))
 	p.nameMu.Lock()
 	clear(p.byUsername)
 	p.nameMu.Unlock()
 	for _, sh := range p.shards {
 		sh.lock()
 		sh.tab.reset()
+		sh.tab.grow(per)
 		sh.limiter.reset()
+		sh.limiter.reserve(per)
 		sh.mu.Unlock()
 	}
-	for _, ps := range p.postIdx {
-		ps.lock()
-		clear(ps.author)
-		ps.mu.Unlock()
-	}
+	p.posts.mu.Lock()
+	p.posts.author = slices.Grow(p.posts.author[:0], int(posts)+1)
+	p.posts.mu.Unlock()
 
 	for i := range st.Accounts {
 		as := &st.Accounts[i]
@@ -236,12 +266,11 @@ func (p *Platform) RestoreState(st *State) {
 			p.nameMu.Lock()
 			p.byUsername[as.Username] = as.ID
 			p.nameMu.Unlock()
+			p.posts.mu.Lock()
 			for _, pid := range as.Posts {
-				ps := p.postStripeFor(pid)
-				ps.lock()
-				ps.author[pid] = as.ID
-				ps.mu.Unlock()
+				p.posts.set(pid, as.ID)
 			}
+			p.posts.mu.Unlock()
 		}
 	}
 
@@ -264,6 +293,7 @@ func (p *Platform) RestoreState(st *State) {
 		p.tags.byTag[ts.Tag] = r
 	}
 	p.tags.mu.Unlock()
+	return nil
 }
 
 // RestoreEnforcements re-registers the pending delayed-removals from a

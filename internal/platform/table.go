@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -69,6 +70,22 @@ func (t *accountTable) add(id AccountID, username, password string, prof Profile
 	t.posts = append(t.posts, nil)
 	t.likeCounts = append(t.likeCounts, nil)
 	return r
+}
+
+// grow pre-sizes the table for n more rows, so registering them appends
+// into capacity instead of doubling every field slice as it fills.
+func (t *accountTable) grow(n int) {
+	t.ids.Grow(n)
+	t.usernames = slices.Grow(t.usernames, n)
+	t.passwords = slices.Grow(t.passwords, n)
+	t.profiles = slices.Grow(t.profiles, n)
+	t.homeCountries = slices.Grow(t.homeCountries, n)
+	t.created = slices.Grow(t.created, n)
+	t.deleted = slices.Grow(t.deleted, n)
+	t.sessionEpochs = slices.Grow(t.sessionEpochs, n)
+	t.logins = slices.Grow(t.logins, n)
+	t.posts = slices.Grow(t.posts, n)
+	t.likeCounts = slices.Grow(t.likeCounts, n)
 }
 
 // reset drops every row (restore path).

@@ -84,6 +84,7 @@ func EstimateReciprocity(svc *detection.ServiceActivity, pricing aas.Reciprocity
 		return est
 	}
 	var dayBuf []int
+	periods := 0
 	for _, a := range svc.ByAccount {
 		if !a.HasOutbound() {
 			continue // organic target of the service, not a customer
@@ -107,10 +108,12 @@ func EstimateReciprocity(svc *detection.ServiceActivity, pricing aas.Reciprocity
 		est.PaidDays += paidDays
 		// Purchases come in whole periods: round the account's paid days
 		// up to the period granularity.
-		periods := int(math.Ceil(float64(paidDays) / float64(period)))
-		est.Monthly += float64(periods) * pricing.CostPerPeriod
+		periods += (paidDays + period - 1) / period
 	}
-	// Normalize to a 30-day month.
+	// Whole periods are summed as integers and priced once: a float sum
+	// over the map would depend on its iteration order, and the rounded
+	// dollar figure with it. Then normalize to a 30-day month.
+	est.Monthly = float64(periods) * pricing.CostPerPeriod
 	est.Monthly *= 30 / float64(windowDays)
 	return est
 }
@@ -166,7 +169,10 @@ func EstimateCollusion(svc *detection.ServiceActivity, pricing aas.CollusionPric
 	if len(pricing.MonthlyTiers) > 0 {
 		lowestTierMin = pricing.MonthlyTiers[0].MinLikes
 	}
-	requests := 0
+	// Revenue is tallied in whole units (accounts, photos, requests) and
+	// priced once after the loop, so no float sum depends on the map's
+	// iteration order.
+	requests, oneTimePhotos := 0, 0
 	for _, a := range svc.ByAccount {
 		inLikes := a.TotalInbound(platform.ActionLike)
 		inFollows := a.TotalInbound(platform.ActionFollow)
@@ -174,7 +180,6 @@ func EstimateCollusion(svc *detection.ServiceActivity, pricing aas.CollusionPric
 		// No-outbound buyers: inbound service actions, zero outbound.
 		if outbound == 0 && (inLikes > 0 || inFollows > 0) {
 			est.NoOutboundAccounts++
-			est.NoOutboundRevenue += pricing.NoOutboundFee
 			// They may also buy likes; fall through.
 		}
 
@@ -186,9 +191,8 @@ func EstimateCollusion(svc *detection.ServiceActivity, pricing aas.CollusionPric
 			if oneTime {
 				// One-time buyer: count photos at or above the smallest
 				// package size.
-				n := a.PostsWithAtLeast(pricing.OneTime[0].Likes)
 				est.OneTimeBuyers++
-				est.OneTimeRevenue += float64(n) * pricing.OneTime[0].Fee
+				oneTimePhotos += a.PostsWithAtLeast(pricing.OneTime[0].Likes)
 			} else {
 				// Paid-speed accounts whose median sits below the lowest
 				// tier occur only in scaled-down worlds, where the source
@@ -196,7 +200,6 @@ func EstimateCollusion(svc *detection.ServiceActivity, pricing aas.CollusionPric
 				// rather than dropping a known-paid account.
 				if median < float64(lowestTierMin) && len(pricing.MonthlyTiers) > 0 {
 					est.TierAccounts[0]++
-					est.TierRevenue[0] += pricing.MonthlyTiers[0].MonthlyFee
 					continue
 				}
 				for i, tier := range pricing.MonthlyTiers {
@@ -206,7 +209,6 @@ func EstimateCollusion(svc *detection.ServiceActivity, pricing aas.CollusionPric
 					}
 					if median >= float64(tier.MinLikes) && median < upper {
 						est.TierAccounts[i]++
-						est.TierRevenue[i] += tier.MonthlyFee
 						break
 					}
 				}
@@ -221,6 +223,13 @@ func EstimateCollusion(svc *detection.ServiceActivity, pricing aas.CollusionPric
 				requests += inFollows / pricing.FreeFollowQuantum
 			}
 		}
+	}
+	est.NoOutboundRevenue = float64(est.NoOutboundAccounts) * pricing.NoOutboundFee
+	if oneTimePhotos > 0 {
+		est.OneTimeRevenue = float64(oneTimePhotos) * pricing.OneTime[0].Fee
+	}
+	for i, tier := range pricing.MonthlyTiers {
+		est.TierRevenue[i] = float64(est.TierAccounts[i]) * tier.MonthlyFee
 	}
 	monthlyRequests := float64(requests) * 30 / float64(windowDays)
 	est.AdImpressions = int(monthlyRequests)
@@ -250,8 +259,13 @@ type NewVsPreexisting struct {
 // EstimateReciprocity; for collusion services pass paid-category activity
 // via the isPaid callback instead (see SplitCollusionNewVsPreexisting).
 func SplitNewVsPreexisting(svc *detection.ServiceActivity, pricing aas.ReciprocityPricing, monthStart int) NewVsPreexisting {
+	if pricing.CostPerDay() == 0 {
+		return NewVsPreexisting{} // a free service earns nothing to split
+	}
 	trial := pricing.ActualTrialDays()
-	var newRev, oldRev float64
+	// Paid days are tallied as integers: every day costs the same, so
+	// the split is a ratio of day counts, independent of map order.
+	var newDays, oldDays int
 	var dayBuf []int
 	for _, a := range svc.ByAccount {
 		if !a.HasOutbound() {
@@ -278,18 +292,26 @@ func SplitNewVsPreexisting(svc *detection.ServiceActivity, pricing aas.Reciproci
 		if during == 0 {
 			continue
 		}
-		amount := float64(during) * pricing.CostPerDay()
 		if before > 0 {
-			oldRev += amount
+			oldDays += during
 		} else {
-			newRev += amount
+			newDays += during
 		}
 	}
+	return splitOf(newDays, oldDays)
+}
+
+// splitOf turns new and preexisting revenue tallies, in any one unit,
+// into the Table 10 fractions.
+func splitOf(newRev, oldRev int) NewVsPreexisting {
 	total := newRev + oldRev
 	if total == 0 {
 		return NewVsPreexisting{}
 	}
-	return NewVsPreexisting{NewFraction: newRev / total, PreexistingFraction: oldRev / total}
+	return NewVsPreexisting{
+		NewFraction:         float64(newRev) / float64(total),
+		PreexistingFraction: float64(oldRev) / float64(total),
+	}
 }
 
 // SplitCollusionNewVsPreexisting is the Table 10 split for collusion
@@ -299,15 +321,15 @@ func SplitNewVsPreexisting(svc *detection.ServiceActivity, pricing aas.Reciproci
 // not observable per month, the split uses paid-delivery volume as the
 // revenue proxy.
 func SplitCollusionNewVsPreexisting(svc *detection.ServiceActivity, pricing aas.CollusionPricing, monthStart int) NewVsPreexisting {
-	var newRev, oldRev float64
+	var newRev, oldRev int
 	for _, a := range svc.ByAccount {
 		if pricing.FreeLikeHourlyCap <= 0 || a.PeakHourlyLike <= pricing.FreeLikeHourlyCap {
 			continue
 		}
-		var before, during float64
+		var before, during int
 		for i := range a.InboundDaily {
 			dc := &a.InboundDaily[i]
-			v := float64(dc.N[platform.ActionLike])
+			v := int(dc.N[platform.ActionLike])
 			switch d := int(dc.Day); {
 			case d < monthStart:
 				before += v
@@ -324,9 +346,5 @@ func SplitCollusionNewVsPreexisting(svc *detection.ServiceActivity, pricing aas.
 			newRev += during
 		}
 	}
-	total := newRev + oldRev
-	if total == 0 {
-		return NewVsPreexisting{}
-	}
-	return NewVsPreexisting{NewFraction: newRev / total, PreexistingFraction: oldRev / total}
+	return splitOf(newRev, oldRev)
 }

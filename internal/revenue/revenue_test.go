@@ -276,3 +276,28 @@ func TestSplitCollusionNewVsPreexisting(t *testing.T) {
 		t.Fatalf("new fraction %v, want 0.75", s.NewFraction)
 	}
 }
+
+// TestEstimateReciprocityOrderIndependent: the paid-period total must
+// not depend on the order the ByAccount map is walked in. Periods of
+// 1, 1 and 5 at $3.15 sum to 22.05 or to 22.049999999999997 depending
+// on which account a float accumulator meets first, which is how Table
+// 8 rounded either way between runs of one seed. Whole periods are
+// summed as integers and priced once, so every walk gives 7 × $3.15.
+func TestEstimateReciprocityOrderIndependent(t *testing.T) {
+	t.Parallel()
+	cost := 3.15 // a variable, so the sums below round as float64
+	if (cost+cost)+5*cost == (5*cost+cost)+cost {
+		t.Fatal("fixture no longer rounds differently by summation order")
+	}
+	pricing := aas.ReciprocityPricing{TrialDays: 0, MinPaidDays: 7, CostPerPeriod: cost}
+	svc := mkService()
+	addActor(svc, 1, seq(0, 6), 1)  // 7 paid days → 1 period
+	addActor(svc, 2, seq(0, 6), 1)  // 1 period
+	addActor(svc, 3, seq(0, 34), 1) // 35 paid days → 5 periods
+	want := 7 * cost
+	for i := 0; i < 200; i++ { // map order is randomized per walk
+		if got := EstimateReciprocity(svc, pricing, 0, 30); got.Monthly != want {
+			t.Fatalf("walk %d: Monthly = %v, want %v", i, got.Monthly, want)
+		}
+	}
+}

@@ -270,6 +270,22 @@ func TestServeWSEventStream(t *testing.T) {
 	t.Fatal("login event never arrived on the WS stream")
 }
 
+// TestServeWSSubscribedAtHandshake: the server registers a /v1/events
+// subscriber before it completes the handshake, so a client that has
+// read the 101 cannot miss an event its own next request causes (the
+// race TestServeWSEventStream used to lose under load).
+func TestServeWSSubscribedAtHandshake(t *testing.T) {
+	s, _ := startServer(t, tinyConfig(44))
+	conn := wsDial(t, s.Addr())
+	defer conn.Close()
+	s.bcast.mu.Lock()
+	n := len(s.bcast.subs)
+	s.bcast.mu.Unlock()
+	if n != 1 {
+		t.Fatalf("%d subscribers registered when the handshake completed, want 1", n)
+	}
+}
+
 func TestServeGracefulShutdownAndReplay(t *testing.T) {
 	dir := t.TempDir()
 	logPath := filepath.Join(dir, "ingress.fing")

@@ -125,6 +125,12 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		return
 	}
+	// Subscribe before completing the handshake: a client that has read
+	// the 101 may act at once, and every event its actions cause must
+	// reach it. Events emitted before the writer starts wait in c.ch.
+	c := &wsConn{conn: conn, ch: make(chan []byte, wsSendBuf), dead: make(chan struct{})}
+	s.bcast.add(c)
+
 	sum := sha1.Sum([]byte(key + wsGUID))
 	accept := base64.StdEncoding.EncodeToString(sum[:])
 	resp := "HTTP/1.1 101 Switching Protocols\r\n" +
@@ -132,12 +138,9 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		"Connection: Upgrade\r\n" +
 		"Sec-WebSocket-Accept: " + accept + "\r\n\r\n"
 	if _, err := brw.WriteString(resp); err != nil || brw.Flush() != nil {
-		conn.Close()
+		s.bcast.remove(c)
 		return
 	}
-
-	c := &wsConn{conn: conn, ch: make(chan []byte, wsSendBuf), dead: make(chan struct{})}
-	s.bcast.add(c)
 
 	// Reader: we never act on client frames, but reading until error is
 	// how we notice the peer went away (close frame, RST, FIN).

@@ -23,8 +23,8 @@ func scaleConfig(accounts, days int) core.Config {
 
 // scaleSmokeHeapBudget bounds runtime.HeapAlloc after the 100k-account,
 // 7-day smoke world finishes, in bytes. The struct-of-arrays layout
-// measures ~825 B/account live (accounts, posts, graph adjacency, and
-// event-log bookkeeping together ≈ 78 MiB); the 256 MiB budget is ~3x
+// measures ~760 B/account live (accounts, posts, graph adjacency, and
+// event-log bookkeeping together ≈ 72 MiB); the 256 MiB budget is ~3x
 // headroom, enough to absorb GC timing but not a return to per-account
 // heap objects. Raise only with a heap profile — see
 // docs/PERFORMANCE.md.
@@ -55,5 +55,39 @@ func TestScaleSmoke(t *testing.T) {
 	if ms.HeapAlloc > scaleSmokeHeapBudget {
 		t.Errorf("heap_alloc %d exceeds the %d-byte scale budget (%d B/account)",
 			ms.HeapAlloc, uint64(scaleSmokeHeapBudget), perAccount)
+	}
+}
+
+// constructionGarbageRatio bounds the bytes NewWorld allocates per byte
+// of live heap the finished world retains. Tables built at their final
+// size allocate little beyond what they keep (~1.06x measured at 100k
+// accounts); slice doubling and map rehashing in the per-shard tables
+// pushed it to ~2.6x. Raise only with an allocation profile of NewWorld —
+// see docs/PERFORMANCE.md.
+const constructionGarbageRatio = 1.5
+
+// TestConstructionGarbage builds a 100k-account world and asserts its
+// construction allocates at most constructionGarbageRatio times the
+// live heap it leaves behind: the guard on NewWorld's pre-sized tables.
+func TestConstructionGarbage(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation totals are inflated by race instrumentation; see race_test.go")
+	}
+	cfg := scaleConfig(100_000, 7)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	w := core.NewWorld(cfg)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	defer runtime.KeepAlive(w)
+	allocated := after.TotalAlloc - before.TotalAlloc
+	live := after.HeapAlloc - before.HeapAlloc
+	ratio := float64(allocated) / float64(live)
+	t.Logf("construction: %d MiB allocated, %d MiB live, ratio %.2f",
+		allocated>>20, live>>20, ratio)
+	if ratio > constructionGarbageRatio {
+		t.Errorf("NewWorld allocated %.2fx the live heap it left (%d of %d bytes); budget %.2fx",
+			ratio, allocated, live, constructionGarbageRatio)
 	}
 }

@@ -75,7 +75,6 @@ func TestShardContentionCountersExposed(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		for _, name := range []string{
 			fmt.Sprintf("platform.shard.%02d.contention", i),
-			fmt.Sprintf("platform.postshard.%02d.contention", i),
 			fmt.Sprintf("socialgraph.shard.%02d.contention", i),
 			fmt.Sprintf("socialgraph.postshard.%02d.contention", i),
 		} {

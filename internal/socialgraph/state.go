@@ -90,9 +90,11 @@ func (g *Graph) RestoreState(st *State) {
 	g.nextAcct = st.NextAcct
 	g.nextPost = st.NextPost
 	g.idMu.Unlock()
+	per := ShardCapacity(len(st.Accounts), len(g.ashards))
 	for _, s := range g.ashards {
 		s.lock()
 		s.tab.reset()
+		s.tab.grow(per)
 		s.mu.Unlock()
 	}
 	for _, s := range g.pshards {

@@ -2,6 +2,7 @@ package socialgraph
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -102,6 +103,18 @@ func (t *acctTable) add(id AccountID, now time.Time) uint32 {
 	t.likes = append(t.likes, nil)
 	t.commented = append(t.commented, nil)
 	return r
+}
+
+// grow pre-sizes the table for n more rows.
+func (t *acctTable) grow(n int) {
+	t.ids.Grow(n)
+	t.live = slices.Grow(t.live, n)
+	t.created = slices.Grow(t.created, n)
+	t.followers = slices.Grow(t.followers, n)
+	t.followees = slices.Grow(t.followees, n)
+	t.posts = slices.Grow(t.posts, n)
+	t.likes = slices.Grow(t.likes, n)
+	t.commented = slices.Grow(t.commented, n)
 }
 
 // tombstone marks row r deleted and releases its per-row collections.
