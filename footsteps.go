@@ -52,7 +52,7 @@ func TestConfig() Config { return core.TestConfig() }
 
 // New returns DefaultConfig with the options applied:
 //
-//	cfg := footsteps.New(footsteps.WithWorkers(8), footsteps.WithShards(16))
+//	cfg := footsteps.New(footsteps.WithWorkers(8), footsteps.WithDays(30))
 func New(opts ...Option) Config { return core.New(opts...) }
 
 // NewTest returns TestConfig with the options applied.
@@ -87,8 +87,6 @@ var (
 var (
 	// WithWorkers sets the worker-pool size for parallel stepping.
 	WithWorkers = core.WithWorkers
-	// WithShards sets the lock-stripe count for platform state.
-	WithShards = core.WithShards
 	// WithScratchReuse toggles per-worker scratch reuse.
 	WithScratchReuse = core.WithScratchReuse
 )

@@ -67,12 +67,6 @@ type Config struct {
 	// time, never bytes (see docs/DETERMINISM.md).
 	Workers int
 
-	// Shards is the lock-stripe count for the platform's and social
-	// graph's mutable state. 0 means the built-in default. Like Workers,
-	// it is a pure concurrency knob: any shard count produces the same
-	// event stream for the same seed (see docs/ARCHITECTURE.md).
-	Shards int
-
 	// Telemetry, when non-nil, receives counters, gauges, and tick-phase
 	// histograms from every layer of the world. Telemetry is a pure
 	// observer: it consumes no RNG draws and feeds nothing back into the
@@ -110,7 +104,7 @@ type Config struct {
 
 	// CheckpointEvery makes World.RunDays write a snapshot after every
 	// N completed days (see docs/PERSISTENCE.md). 0 disables. Like
-	// Workers and Shards it never changes the event stream, only what
+	// Workers it never changes the event stream, only what
 	// gets written to disk alongside it.
 	CheckpointEvery int
 
@@ -120,8 +114,8 @@ type Config struct {
 
 	// Serving-layer knobs (internal/server, cmd/footsteps serve — see
 	// docs/API.md). All of them shape how network ingress reaches the
-	// world loop, never what the world does with it, so like Workers and
-	// Shards they are excluded from Fingerprint and a snapshot taken
+	// world loop, never what the world does with it, so like Workers
+	// they are excluded from Fingerprint and a snapshot taken
 	// under one serving config restores under any other.
 
 	// ServeAddr is the listen address for the HTTP/WS front end
@@ -154,9 +148,9 @@ type Config struct {
 
 // Fingerprint hashes every semantic config field — the knobs that shape
 // the simulated timeline. Pure performance and observability knobs
-// (Workers, Shards, Telemetry, Trace, DisableScratchReuse, the checkpoint
-// settings) are excluded, so a snapshot taken at one worker or shard
-// count restores at any other. Seed is also excluded: it travels in the
+// (Workers, Telemetry, Trace, DisableScratchReuse, the checkpoint
+// settings) are excluded, so a snapshot taken at one worker count
+// restores at any other. Seed is also excluded: it travels in the
 // snapshot header as its own field with its own mismatch diagnostic.
 func (c Config) Fingerprint() uint64 {
 	h := fnv.New64a()

@@ -13,7 +13,7 @@ import (
 func TestOptionsComposeOverDefaults(t *testing.T) {
 	t.Parallel()
 	if got, want := New(), DefaultConfig(); got.Seed != want.Seed || got.Days != want.Days ||
-		got.Scale != want.Scale || got.Workers != want.Workers || got.Shards != want.Shards {
+		got.Scale != want.Scale || got.Workers != want.Workers {
 		t.Fatalf("New() = %+v, want DefaultConfig %+v", got, want)
 	}
 	if got, want := NewTest(), TestConfig(); got.Days != want.Days || got.OrganicPopulation != want.OrganicPopulation {
@@ -24,7 +24,6 @@ func TestOptionsComposeOverDefaults(t *testing.T) {
 	cfg := New(
 		WithSeed(7),
 		WithWorkers(8),
-		WithShards(16),
 		WithDays(12),
 		WithScale(0.25),
 		WithGraphWrites(true),
@@ -35,7 +34,7 @@ func TestOptionsComposeOverDefaults(t *testing.T) {
 		WithTelemetry(reg),
 		WithFaults("storm"),
 	)
-	if cfg.Seed != 7 || cfg.Workers != 8 || cfg.Shards != 16 || cfg.Days != 12 ||
+	if cfg.Seed != 7 || cfg.Workers != 8 || cfg.Days != 12 ||
 		cfg.Scale != 0.25 || !cfg.GraphWrites || cfg.OrganicPopulation != 123 ||
 		cfg.PoolSize != 45 || cfg.VPNUsers != 6 || cfg.IPDailyBudget != 789 ||
 		cfg.Telemetry != reg {
@@ -60,22 +59,18 @@ func TestOptionsComposeOverDefaults(t *testing.T) {
 }
 
 // TestOptionConfigBuildsWorld is the integration smoke test: a world
-// built from an options-constructed config honors the concurrency
-// knobs (worker pool, shard counts) end to end.
+// built from an options-constructed config honors the worker knob end
+// to end, and the zero value still builds a (sequential) pool.
 func TestOptionConfigBuildsWorld(t *testing.T) {
 	t.Parallel()
-	cfg := NewTest(WithDays(2), WithWorkers(2), WithShards(4),
+	cfg := NewTest(WithDays(2), WithWorkers(2),
 		WithOrganicPopulation(50), WithPoolSize(40), WithVPNUsers(4))
 	w := NewWorld(cfg)
-	if got := w.Plat.Shards(); got != 4 {
-		t.Errorf("platform shards = %d, want 4", got)
+	if got := w.Steps.Workers(); got != 2 {
+		t.Errorf("step pool workers = %d, want 2", got)
 	}
-	if got := w.Plat.Graph().Shards(); got != 4 {
-		t.Errorf("graph shards = %d, want 4", got)
-	}
-	// The zero-value knob falls back to defaults at construction.
 	w0 := NewWorld(NewTest(WithDays(2), WithOrganicPopulation(50), WithPoolSize(40), WithVPNUsers(4)))
-	if got := w0.Plat.Shards(); got < 1 {
-		t.Errorf("default shard count = %d, want >= 1", got)
+	if w0.Steps == nil || w0.Steps.Workers() != 1 {
+		t.Errorf("default step pool = %+v, want a 1-worker pool", w0.Steps)
 	}
 }

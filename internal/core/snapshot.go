@@ -79,7 +79,7 @@ func (w *World) snapshotState() *persistence.WorldState {
 // config must describe the same semantic world: the snapshot's seed and
 // config fingerprint are checked against cfg and a *persistence.
 // MismatchError is returned on disagreement. Performance knobs (Workers,
-// Shards, Telemetry) are free to differ — the restored timeline is
+// Telemetry) are free to differ — the restored timeline is
 // byte-identical regardless.
 //
 // The returned world sits at the snapshot instant with lifecycle
@@ -97,6 +97,9 @@ func RestoreWorld(cfg Config, r io.Reader) (*World, error) {
 	if fp := cfg.Fingerprint(); h.Fingerprint != fp {
 		return nil, &persistence.MismatchError{Field: "config fingerprint", Got: h.Fingerprint, Want: fp}
 	}
+	if err := checkCounters(st); err != nil {
+		return nil, err
+	}
 
 	// Rebuild all static structure exactly as the original run did.
 	// Construction and lifecycle registration consume the same RNG draws
@@ -113,10 +116,14 @@ func RestoreWorld(cfg Config, r io.Reader) (*World, error) {
 	// Overwrite every component's mutable state.
 	w.RNG.SetState(st.Root)
 	w.Reg.RestoreAlloc(st.NetAlloc)
+	// The graph goes first: the platform checks its account IDs against
+	// the IDs the graph has minted.
+	if err := w.graph.RestoreState(st.Graph); err != nil {
+		return nil, err
+	}
 	if err := w.Plat.RestoreState(st.Platform); err != nil {
 		return nil, err
 	}
-	w.graph.RestoreState(st.Graph)
 	w.Pop.RestoreState(st.Behavior)
 	w.Honeypots.RestoreState(st.Honeypots)
 	if w.Guard != nil && st.Guard != nil {
@@ -163,6 +170,24 @@ func RestoreWorld(cfg Config, r io.Reader) (*World, error) {
 		w.Coll[nc.Name].RestoreRetries(nc.State.Base.Retries)
 	}
 	return w, nil
+}
+
+// checkCounters bounds the graph's ID counters by the platform's lists.
+// Every account and post in a world is minted through platform
+// registration and posting, and the platform lists each one, deleted
+// accounts included. The graph sizes its ID-indexed tables by those
+// counters, so a counter past the lists can only come from a corrupt
+// snapshot and is rejected before anything is built.
+func checkCounters(st *persistence.WorldState) error {
+	posts := 0
+	for i := range st.Platform.Accounts {
+		posts += len(st.Platform.Accounts[i].Posts)
+	}
+	if uint64(st.Graph.NextAcct) > uint64(len(st.Platform.Accounts)) || uint64(st.Graph.NextPost) > uint64(posts) {
+		return fmt.Errorf("core: snapshot graph ID counters %d/%d exceed the %d accounts and %d posts the platform lists",
+			st.Graph.NextAcct, st.Graph.NextPost, len(st.Platform.Accounts), posts)
+	}
+	return nil
 }
 
 // RestoreFile is RestoreWorld over a checkpoint file on disk.

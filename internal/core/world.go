@@ -40,8 +40,10 @@ type World struct {
 	// ProxyASNs back the evasion proxy networks of the §6.4 epilogue.
 	ProxyASNs []netsim.ASN
 
-	// Steps is the worker pool behind parallel per-tick stepping; nil
-	// when cfg.Workers <= 1, in which case planning runs inline.
+	// Steps is the worker pool behind per-tick stepping. With
+	// cfg.Workers <= 1 it plans inline on the calling goroutine. Its
+	// Guard is installed on the platform and graph, so a mutation from a
+	// plan phase panics at any worker count.
 	Steps *step.Pool
 
 	// Faults is the installed fault injector; nil when cfg.Faults is
@@ -105,11 +107,13 @@ func NewWorld(cfg Config) *World {
 
 	pcfg := platform.DefaultConfig()
 	pcfg.GraphWrites = cfg.GraphWrites
-	pcfg.Shards = cfg.Shards
-	graph := socialgraph.NewSharded(cfg.Shards)
-	graph.WireTelemetry(cfg.Telemetry)
+	graph := socialgraph.New()
 	plat := platform.New(pcfg, graph, reg, sched)
-	plat.Reserve(constructionAccounts(cfg))
+	steps := step.NewPool(cfg.Workers)
+	steps.SetTracer(telemetry.NewTickTracer(cfg.Telemetry))
+	steps.SetTrace(cfg.Trace)
+	plat.SetGuard(steps.Guard())
+	plat.Reserve(reservedAccounts(cfg))
 	plat.WireTelemetry(cfg.Telemetry)
 	// Span tracing wires in before any traffic, like telemetry: the first
 	// login is already spanned. BindClock gives the tracer the simulated
@@ -129,6 +133,7 @@ func NewWorld(cfg Config) *World {
 		Recip:     make(map[string]*aas.ReciprocityService),
 		Coll:      make(map[string]*aas.CollusionService),
 		ProxyASNs: proxyASNs,
+		Steps:     steps,
 		graph:     graph,
 
 		checkpointEvery: cfg.CheckpointEvery,
@@ -146,16 +151,6 @@ func NewWorld(cfg Config) *World {
 		w.Faults.BindNetwork(reg)
 		w.Faults.WireTelemetry(cfg.Telemetry)
 		plat.SetFaultInjector(w.Faults)
-	}
-
-	// With telemetry or tracing on, even a sequential run gets a
-	// (1-worker) pool so the tick tracer sees plan/apply phases; Run with
-	// workers <= 1 is the identical inline path, so this changes timing
-	// visibility, not bytes.
-	if cfg.Workers > 1 || cfg.Telemetry != nil || cfg.Trace != nil {
-		w.Steps = step.NewPool(cfg.Workers)
-		w.Steps.SetTracer(telemetry.NewTickTracer(cfg.Telemetry))
-		w.Steps.SetTrace(cfg.Trace)
 	}
 
 	// Organic population: honeypot monitoring must observe reciprocation,
@@ -250,11 +245,15 @@ func curatedPools() int {
 	return n
 }
 
-// constructionAccounts is the number of accounts NewWorld registers:
-// the organic population, the curated pools, the celebrities and the
-// VPN users. The platform reserves its tables for them up front.
-func constructionAccounts(cfg Config) int {
-	return cfg.OrganicPopulation + curatedPools()*cfg.PoolSize + celebrities + cfg.VPNUsers
+// reservedAccounts is the number of account rows NewWorld reserves up
+// front: the accounts it registers (the organic population, the curated
+// pools, the celebrities and the VPN users) plus headroom for the
+// accounts a run registers later — customers and honeypots, a few
+// hundred in a 90-day TestConfig run at any population — so those
+// append into capacity instead of doubling a million-row table.
+func reservedAccounts(cfg Config) int {
+	n := cfg.OrganicPopulation + curatedPools()*cfg.PoolSize + celebrities + cfg.VPNUsers
+	return n + n/64 + 1024
 }
 
 // setupVPNUsers creates benign users whose traffic shares Hublaagram's US

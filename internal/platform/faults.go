@@ -28,7 +28,7 @@ type FaultDecision struct {
 // FaultInjector is consulted on every platform request (session
 // actions and logins). Implementations MUST be pure functions of their
 // arguments plus construction-time state: the platform calls Decide
-// under a shard's write lock from serial apply paths, and run determinism
+// from the serial apply path, and run determinism
 // across worker counts rests on the verdict for a request being
 // independent of call order. internal/faults provides the
 // implementation; the interface lives here so the dependency points
@@ -41,7 +41,6 @@ type FaultInjector interface {
 // construction, before traffic; nil (the default) disables injection
 // and costs one nil check per request.
 func (p *Platform) SetFaultInjector(fi FaultInjector) {
-	p.hookMu.Lock()
+	p.guard.Check("platform.SetFaultInjector")
 	p.faults = fi
-	p.hookMu.Unlock()
 }

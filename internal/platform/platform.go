@@ -21,9 +21,8 @@
 // Session-validity checks, fault injection, rate limiting, gatekeeping,
 // state mutation, event emission, and telemetry all happen once, in
 // Do's pipeline, instead of being re-wired per action (see
-// docs/ARCHITECTURE.md). Mutable state is lock-striped across shards
-// keyed by a stable hash of AccountID (see shard.go), so the parallel
-// planning phase and independent mutations scale past a single lock.
+// docs/ARCHITECTURE.md). Mutable state has a single writer — the world
+// loop's apply phase — and is not locked (see Platform).
 package platform
 
 import (
@@ -31,13 +30,12 @@ import (
 	"fmt"
 	"maps"
 	"net/netip"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"footsteps/internal/clock"
 	"footsteps/internal/netsim"
 	"footsteps/internal/socialgraph"
+	"footsteps/internal/step"
 	"footsteps/internal/telemetry"
 	"footsteps/internal/trace"
 )
@@ -92,11 +90,6 @@ type Config struct {
 	// OAuthHourlyLimit caps the public API "in a manner that precludes
 	// broad abusive use" (§2) — far below the private limit.
 	OAuthHourlyLimit int
-	// Shards is the lock-stripe count for mutable per-account platform
-	// state (accounts, sessions, rate-limit buckets). 0 means
-	// DefaultShards. Purely a concurrency knob: the event stream is
-	// byte-identical at every shard count (see docs/ARCHITECTURE.md).
-	Shards int
 }
 
 // DefaultConfig matches the study's standard world. The OAuth cap of a
@@ -141,16 +134,16 @@ type GatekeeperFunc func(req Event) Verdict
 // Check implements Gatekeeper.
 func (f GatekeeperFunc) Check(req Event) Verdict { return f(req) }
 
-// Platform is the simulated service. All exported methods are safe for
-// concurrent use. Mutable state is partitioned into lock-striped shards
-// keyed by a stable hash of AccountID (shard.go): pure queries (Exists,
-// LatestPost, PostAuthor, Posts, RecentByTag, …) take only the owning
-// stripe's (or the post index's) read lock, so the parallel stepping
-// engine's intent-generation phase can interrogate platform state from
-// many workers at once, and mutations — registration, login, and the
-// Do(Request) action pipeline with its rate-limit and gatekeeper checks
-// — lock only the stripes they touch. In simulation, mutation runs on the single apply goroutine; the
-// striping is what lets many planners read while it writes.
+// Platform is the simulated service. It has one writer: every mutation —
+// registration, login, the Do(Request) pipeline, deletion, restore —
+// runs on the world loop's apply goroutine (the serial apply phase of
+// step.RunInto, scheduler callbacks, or the server's drain loop). Pure
+// queries (Exists, LatestPost, PostAuthor, Posts, RecentByTag, …) may run
+// on many goroutines at once, but only while that writer is parked: plan
+// workers after the step barrier, or analyses between runs. Nothing is
+// locked; the step barrier and the server's ingest queue are the
+// synchronisation, and each mutator checks the world's step.Guard so a
+// write from a plan worker panics instead of racing.
 type Platform struct {
 	cfg   Config
 	graph *socialgraph.Graph
@@ -160,25 +153,26 @@ type Platform struct {
 
 	tags *hashtagIndex
 
-	// shards stripe the account records and their rate-limit buckets by
-	// hash(AccountID); posts is the dense post→author index. nextPost
-	// allocates post IDs in stateless (GraphWrites off) mode.
-	shards   []*shard
+	// tab holds the account records (row = AccountID − 1) and limiter
+	// their rate-limit buckets over the same rows; posts is the dense
+	// post→author index. nextPost allocates post IDs in stateless
+	// (GraphWrites off) mode.
+	tab      accountTable
+	limiter  hourlyLimiter
 	posts    postIndex
-	nextPost atomic.Uint64
+	nextPost uint64
 
-	// nameMu guards the username index and serializes registration and
-	// deletion (the only paths that mutate it). Ranked before every
-	// shard lock; never acquired while one is held.
-	nameMu     sync.RWMutex
 	byUsername map[string]AccountID
 
-	// hookMu guards the enforcement and fault-injection hook pointers,
-	// which are installed at construction (faults) or between serial
-	// experiment phases (gatekeepers) and read on every request.
-	hookMu sync.RWMutex
+	// gate and faults are the enforcement and fault-injection hooks,
+	// installed at construction (faults) or between serial experiment
+	// phases (gatekeepers) and read on every request.
 	gate   Gatekeeper
 	faults FaultInjector
+
+	// guard is the world's plan-phase guard (nil = unchecked); see
+	// SetGuard.
+	guard *step.Guard
 
 	log EventLog
 
@@ -230,10 +224,7 @@ type platformMetrics struct {
 
 // WireTelemetry registers the platform's metric set in reg and starts
 // recording. Call during construction, before traffic; a nil registry is
-// a no-op (telemetry stays off). Besides the event and enforcement
-// counters, each account shard gets a contention counter
-// (platform.shard.NN.contention) counting acquisitions that found the
-// stripe already held.
+// a no-op (telemetry stays off).
 func (p *Platform) WireTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
 		return
@@ -254,10 +245,6 @@ func (p *Platform) WireTelemetry(reg *telemetry.Registry) {
 			m.events[t][o] = reg.Counter("platform.events." + t.String() + "." + o.String())
 		}
 	}
-	reg.Gauge("platform.shards").Set(int64(len(p.shards)))
-	for i, sh := range p.shards {
-		sh.contention = reg.Counter(fmt.Sprintf("platform.shard.%02d.contention", i))
-	}
 	p.tel = m
 }
 
@@ -267,73 +254,50 @@ func (p *Platform) WireTelemetry(reg *telemetry.Registry) {
 // change any event (enforced in internal/simtest).
 func (p *Platform) SetTracer(tr *trace.Tracer) { p.tracer = tr }
 
-// shardIndexOf reports the index of the stripe owning id, for span
-// attribution.
-func (p *Platform) shardIndexOf(id AccountID) uint32 {
-	return uint32(shardHash(uint64(id)) % uint64(len(p.shards)))
-}
-
 // New assembles a platform over the given substrates.
 func New(cfg Config, g *socialgraph.Graph, net *netsim.Registry, sched *clock.Scheduler) *Platform {
-	n := normShards(cfg.Shards)
-	p := &Platform{
+	return &Platform{
 		cfg:        cfg,
 		graph:      g,
 		net:        net,
 		clk:        sched.Clock(),
 		sched:      sched,
 		tags:       newHashtagIndex(),
-		shards:     make([]*shard, n),
 		byUsername: make(map[string]AccountID),
 	}
-	for i := range p.shards {
-		p.shards[i] = newShard()
-	}
-	return p
+}
+
+// SetGuard installs the world's plan-phase guard on the platform and its
+// graph: from then on every mutator panics if called while a step.RunInto
+// plan phase is running. Call during construction; nil checks nothing.
+func (p *Platform) SetGuard(g *step.Guard) {
+	p.guard = g
+	p.graph.SetGuard(g)
 }
 
 // Reserve pre-sizes the platform and its graph for accounts more
-// registrations: each shard's account table, rate-limit arrays and
-// dense-row map get their share of the population (plus slack for hash
-// imbalance), and the username index is sized once. A world that knows
-// its population up front calls it before registering, so construction
-// allocates each table once at its final size instead of doubling its
-// way there. It never changes any ID, row or event.
+// registrations: the account table, rate-limit arrays and username index
+// are sized once. A world that knows its population up front calls it
+// before registering, so construction allocates each table once at its
+// final size instead of doubling its way there. It never changes any ID,
+// row or event.
 func (p *Platform) Reserve(accounts int) {
+	p.guard.Check("platform.Reserve")
 	if accounts <= 0 {
 		return
 	}
-	per := socialgraph.ShardCapacity(accounts, len(p.shards))
-	for _, sh := range p.shards {
-		sh.lock()
-		sh.tab.grow(per)
-		sh.limiter.reserve(sh.tab.len() + per)
-		sh.mu.Unlock()
-	}
-	p.nameMu.Lock()
+	p.tab.grow(accounts)
+	p.limiter.reserve(p.tab.len() + accounts)
 	byUsername := make(map[string]AccountID, len(p.byUsername)+accounts)
 	maps.Copy(byUsername, p.byUsername)
 	p.byUsername = byUsername
-	p.nameMu.Unlock()
 	p.graph.Reserve(accounts)
 }
 
-// Shards reports the configured lock-stripe count.
-func (p *Platform) Shards() int { return len(p.shards) }
-
-// NumAccounts reports the number of registered account rows, deleted
-// ones included: rows are tombstoned rather than freed, so this is the
-// resident table size — the denominator behind the bytes-per-account
-// telemetry.
-func (p *Platform) NumAccounts() int {
-	n := 0
-	for _, sh := range p.shards {
-		sh.mu.RLock()
-		n += sh.tab.len()
-		sh.mu.RUnlock()
-	}
-	return n
-}
+// NumAccounts reports the number of account rows, deleted ones included:
+// rows are tombstoned rather than freed, so this is the resident table
+// size — the denominator behind the bytes-per-account telemetry.
+func (p *Platform) NumAccounts() int { return p.tab.len() }
 
 // Log exposes the event stream for subscribers (detection, monitors).
 func (p *Platform) Log() *EventLog { return &p.log }
@@ -350,40 +314,27 @@ func (p *Platform) Now() time.Time { return p.clk.Now() }
 // SetGatekeeper installs gk as the enforcement hook. Passing nil removes
 // all countermeasures.
 func (p *Platform) SetGatekeeper(gk Gatekeeper) {
-	p.hookMu.Lock()
+	p.guard.Check("platform.SetGatekeeper")
 	p.gate = gk
-	p.hookMu.Unlock()
-}
-
-// hooks snapshots the gatekeeper and fault-injector pointers.
-func (p *Platform) hooks() (Gatekeeper, FaultInjector) {
-	p.hookMu.RLock()
-	g, f := p.gate, p.faults
-	p.hookMu.RUnlock()
-	return g, f
 }
 
 // RegisterAccount creates an account with the given credentials and profile
 // and returns its ID. The homeCountry is where the human behind the account
 // usually logs in from.
 func (p *Platform) RegisterAccount(username, password string, profile Profile, homeCountry string) (AccountID, error) {
-	p.nameMu.Lock()
-	defer p.nameMu.Unlock()
+	p.guard.Check("platform.RegisterAccount")
 	if _, taken := p.byUsername[username]; taken {
 		return 0, fmt.Errorf("%w: %q", ErrUsernameTaken, username)
 	}
 	id := p.graph.CreateAccount(p.clk.Now())
-	sh := p.shardFor(id)
-	sh.lock()
-	r := sh.tab.add(id, username, password, profile, homeCountry, p.clk.Now())
+	r := p.tab.add(id, username, password, profile, homeCountry, p.clk.Now())
 	// The profile's initial photos exist as posts.
 	if profile.PhotoCount > 0 {
-		sh.tab.posts[r] = make([]PostID, 0, profile.PhotoCount)
+		p.tab.posts[r] = make([]PostID, 0, profile.PhotoCount)
 	}
 	for i := 0; i < profile.PhotoCount; i++ {
-		p.addPostLocked(sh, r)
+		p.addPost(r)
 	}
-	sh.mu.Unlock()
 	p.byUsername[username] = id
 	if m := p.tel; m != nil {
 		m.accounts.Add(1)
@@ -391,11 +342,9 @@ func (p *Platform) RegisterAccount(username, password string, profile Profile, h
 	return id, nil
 }
 
-// addPostLocked creates a post for row r of sh, whose lock the caller
-// holds. It takes the post-index lock — account shard before post index
-// is the canonical order.
-func (p *Platform) addPostLocked(sh *shard, r uint32) PostID {
-	id := sh.tab.id(r)
+// addPost creates a post for row r and indexes its author.
+func (p *Platform) addPost(r uint32) PostID {
+	id := AccountID(r + 1)
 	var pid PostID
 	if p.cfg.GraphWrites {
 		var err error
@@ -404,41 +353,31 @@ func (p *Platform) addPostLocked(sh *shard, r uint32) PostID {
 			panic(fmt.Sprintf("platform: graph post for live account: %v", err))
 		}
 	} else {
-		pid = PostID(p.nextPost.Add(1))
+		p.nextPost++
+		pid = PostID(p.nextPost)
 	}
-	sh.tab.posts[r] = append(sh.tab.posts[r], pid)
-	p.posts.mu.Lock()
+	p.tab.posts[r] = append(p.tab.posts[r], pid)
 	p.posts.set(pid, id)
-	p.posts.mu.Unlock()
 	return pid
 }
 
 // DeleteAccount removes the account and, per the paper's honeypot protocol,
 // all actions to or from it.
 func (p *Platform) DeleteAccount(id AccountID) error {
-	p.nameMu.Lock()
-	defer p.nameMu.Unlock()
-	sh := p.shardFor(id)
-	sh.lock()
-	r, ok := sh.tab.row(id)
-	if !ok || sh.tab.deleted[r] {
-		sh.mu.Unlock()
+	p.guard.Check("platform.DeleteAccount")
+	r, ok := p.tab.row(id)
+	if !ok || p.tab.deleted[r] {
 		return fmt.Errorf("%w: %d", ErrAccountGone, id)
 	}
-	sh.tab.deleted[r] = true
-	sh.tab.sessionEpochs[r]++ // revoke sessions
-	username := sh.tab.usernames[r]
-	posts := sh.tab.posts[r]
-	sh.mu.Unlock()
-	delete(p.byUsername, username)
+	p.tab.deleted[r] = true
+	p.tab.sessionEpochs[r]++ // revoke sessions
+	delete(p.byUsername, p.tab.usernames[r])
 	if m := p.tel; m != nil {
 		m.accounts.Add(-1)
 	}
-	p.posts.mu.Lock()
-	for _, pid := range posts {
+	for _, pid := range p.tab.posts[r] {
 		p.posts.author[pid] = 0
 	}
-	p.posts.mu.Unlock()
 	if p.cfg.GraphWrites {
 		return p.graph.DeleteAccount(id)
 	}
@@ -448,61 +387,53 @@ func (p *Platform) DeleteAccount(id AccountID) error {
 // ResetPassword changes the account's password and revokes every live
 // session — the user-level remedy for evicting an AAS.
 func (p *Platform) ResetPassword(id AccountID, newPassword string) error {
-	sh := p.shardFor(id)
-	sh.lock()
-	defer sh.mu.Unlock()
-	r, ok := sh.tab.row(id)
-	if !ok || sh.tab.deleted[r] {
+	p.guard.Check("platform.ResetPassword")
+	r, ok := p.live(id)
+	if !ok {
 		return fmt.Errorf("%w: %d", ErrAccountGone, id)
 	}
-	sh.tab.passwords[r] = newPassword
-	sh.tab.sessionEpochs[r]++
+	p.tab.passwords[r] = newPassword
+	p.tab.sessionEpochs[r]++
 	return nil
+}
+
+// live returns id's row if the account is registered and not deleted.
+func (p *Platform) live(id AccountID) (uint32, bool) {
+	r, ok := p.tab.row(id)
+	return r, ok && !p.tab.deleted[r]
 }
 
 // Exists reports whether the account is live.
 func (p *Platform) Exists(id AccountID) bool {
-	sh := p.shardFor(id)
-	sh.rlock()
-	defer sh.mu.RUnlock()
-	r, ok := sh.tab.row(id)
-	return ok && !sh.tab.deleted[r]
+	_, ok := p.live(id)
+	return ok
 }
 
 // AccountProfile returns the account's profile.
 func (p *Platform) AccountProfile(id AccountID) (Profile, bool) {
-	sh := p.shardFor(id)
-	sh.rlock()
-	defer sh.mu.RUnlock()
-	r, ok := sh.tab.row(id)
-	if !ok || sh.tab.deleted[r] {
+	r, ok := p.live(id)
+	if !ok {
 		return Profile{}, false
 	}
-	return sh.tab.profiles[r], true
+	return p.tab.profiles[r], true
 }
 
 // Username returns the account's username.
 func (p *Platform) Username(id AccountID) (string, bool) {
-	sh := p.shardFor(id)
-	sh.rlock()
-	defer sh.mu.RUnlock()
-	r, ok := sh.tab.row(id)
-	if !ok || sh.tab.deleted[r] {
+	r, ok := p.live(id)
+	if !ok {
 		return "", false
 	}
-	return sh.tab.usernames[r], true
+	return p.tab.usernames[r], true
 }
 
 // CreatedAt returns the account's registration time.
 func (p *Platform) CreatedAt(id AccountID) (time.Time, bool) {
-	sh := p.shardFor(id)
-	sh.rlock()
-	defer sh.mu.RUnlock()
-	r, ok := sh.tab.row(id)
+	r, ok := p.tab.row(id)
 	if !ok {
 		return time.Time{}, false
 	}
-	return sh.tab.created[r], true
+	return p.tab.created[r], true
 }
 
 // MostFrequentLoginCountry implements the paper's customer-location rule:
@@ -511,15 +442,12 @@ func (p *Platform) CreatedAt(id AccountID) (time.Time, bool) {
 // is sorted by country, so the first maximum is the tie-break winner
 // (smallest country string), matching the historical map-scan rule.
 func (p *Platform) MostFrequentLoginCountry(id AccountID) (string, bool) {
-	sh := p.shardFor(id)
-	sh.rlock()
-	defer sh.mu.RUnlock()
-	r, ok := sh.tab.row(id)
+	r, ok := p.tab.row(id)
 	if !ok {
 		return "", false
 	}
 	best, n := "", 0
-	for _, cc := range sh.tab.logins[r] {
+	for _, cc := range p.tab.logins[r] {
 		if cc.N > n {
 			best, n = cc.Country, cc.N
 		}
@@ -529,26 +457,20 @@ func (p *Platform) MostFrequentLoginCountry(id AccountID) (string, bool) {
 
 // Posts returns the account's post IDs in creation order.
 func (p *Platform) Posts(id AccountID) []PostID {
-	sh := p.shardFor(id)
-	sh.rlock()
-	defer sh.mu.RUnlock()
-	r, ok := sh.tab.row(id)
-	if !ok || sh.tab.deleted[r] {
+	r, ok := p.live(id)
+	if !ok {
 		return nil
 	}
-	return append([]PostID(nil), sh.tab.posts[r]...)
+	return append([]PostID(nil), p.tab.posts[r]...)
 }
 
 // LatestPost returns the account's most recent post, if any.
 func (p *Platform) LatestPost(id AccountID) (PostID, bool) {
-	sh := p.shardFor(id)
-	sh.rlock()
-	defer sh.mu.RUnlock()
-	r, ok := sh.tab.row(id)
-	if !ok || sh.tab.deleted[r] {
+	r, ok := p.live(id)
+	if !ok {
 		return 0, false
 	}
-	posts := sh.tab.posts[r]
+	posts := p.tab.posts[r]
 	if len(posts) == 0 {
 		return 0, false
 	}
@@ -556,11 +478,7 @@ func (p *Platform) LatestPost(id AccountID) (PostID, bool) {
 }
 
 // PostAuthor resolves a post to its author.
-func (p *Platform) PostAuthor(pid PostID) (AccountID, bool) {
-	p.posts.mu.RLock()
-	defer p.posts.mu.RUnlock()
-	return p.posts.get(pid)
-}
+func (p *Platform) PostAuthor(pid PostID) (AccountID, bool) { return p.posts.get(pid) }
 
 // LikeCount returns the number of likes on pid as tracked by the platform
 // (valid in both graph and stateless modes).
@@ -572,11 +490,8 @@ func (p *Platform) LikeCount(pid PostID) int {
 	if p.cfg.GraphWrites {
 		return p.graph.LikeCount(pid)
 	}
-	sh := p.shardFor(author)
-	sh.rlock()
-	defer sh.mu.RUnlock()
-	if r, ok := sh.tab.row(author); ok {
-		return sh.tab.likeCount(r, pid)
+	if r, ok := p.tab.row(author); ok {
+		return p.tab.likeCount(r, pid)
 	}
 	return 0
 }
@@ -591,57 +506,49 @@ type ClientInfo struct {
 // Login authenticates and returns a session bound to the client info. The
 // login is recorded as an event and feeds geolocation.
 func (p *Platform) Login(username, password string, ci ClientInfo) (*Session, error) {
-	p.nameMu.RLock()
+	p.guard.Check("platform.Login")
 	id, ok := p.byUsername[username]
-	p.nameMu.RUnlock()
 	if !ok {
 		return nil, ErrBadCredentials
 	}
 	var sp *trace.Active
 	if tr := p.tracer; tr != nil {
-		sp = tr.StartRequest(trace.KindLogin, uint64(id), p.shardIndexOf(id), uint8(ActionLogin))
+		sp = tr.StartRequest(trace.KindLogin, uint64(id), 0, uint8(ActionLogin))
 	}
-	_, faults := p.hooks()
-	sh := p.shardFor(id)
-	sh.lock()
-	r, ok := sh.tab.row(id)
-	if !ok || sh.tab.deleted[r] || sh.tab.passwords[r] != password {
-		sh.mu.Unlock()
+	r, ok := p.live(id)
+	if !ok || p.tab.passwords[r] != password {
 		sp.Stage(trace.StageSession, trace.VerdictFail)
 		sp.End(uint8(OutcomeFailed), 0, 0, 0)
 		return nil, ErrBadCredentials
 	}
 	sp.Stage(trace.StageSession, trace.VerdictOK)
-	if faults != nil {
+	if p.faults != nil {
 		asn, _ := p.net.Lookup(ci.IP)
-		if d := faults.Decide(p.clk.Now(), id, ActionLogin, asn, 0); d.Unavailable {
+		if d := p.faults.Decide(p.clk.Now(), id, ActionLogin, asn, 0); d.Unavailable {
 			// The auth frontend is down: no session, no event, and no
 			// geolocation update — the request never reached the app tier.
-			sh.mu.Unlock()
 			sp.Stage(trace.StageFaults, trace.VerdictUnavailable)
 			sp.End(uint8(OutcomeUnavailable), 0, 0, uint32(asn))
 			return nil, ErrUnavailable
 		}
 	}
 	sp.Stage(trace.StageFaults, trace.VerdictOK)
-	country := p.net.Country(ci.IP)
-	if country != "" {
-		sh.tab.bumpLogin(r, country)
+	if country := p.net.Country(ci.IP); country != "" {
+		p.tab.bumpLogin(r, country)
 	}
-	epoch := sh.tab.sessionEpochs[r]
-	now := p.clk.Now()
-	sh.mu.Unlock()
-
+	// The session takes its epoch before emission: a subscriber that
+	// revokes the account's sessions revokes this one too.
+	sess := &Session{p: p, id: id, epoch: p.tab.sessionEpochs[r], client: ci}
 	ev := p.emitSpan(Event{
-		Time: now, Type: ActionLogin, Actor: id, IP: ci.IP,
+		Time: p.clk.Now(), Type: ActionLogin, Actor: id, IP: ci.IP,
 		Client: ci.Fingerprint, API: ci.API, Outcome: OutcomeAllowed,
 	}, sp)
 	endSpan(sp, ev)
-	return &Session{p: p, id: id, epoch: epoch, client: ci}, nil
+	return sess, nil
 }
 
-// emit resolves the ASN and delivers the event. Callers must NOT hold any
-// shard or stripe lock: subscribers may call back into the platform.
+// emit resolves the ASN and delivers the event. Subscribers may call back
+// into the platform, so callers emit only after their own state updates.
 func (p *Platform) emit(ev Event) { p.emitSpan(ev, nil) }
 
 // emitSpan is emit with stage marks on an in-flight span: the telemetry

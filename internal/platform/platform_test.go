@@ -467,6 +467,9 @@ func TestActionTypeAndOutcomeStrings(t *testing.T) {
 	}
 }
 
+// TestConcurrentActionsAreSafe interleaves four live sessions'
+// follow/unfollow churn, as concurrent clients would arrive at the
+// single writer, and checks every pair ends unfollowed.
 func TestConcurrentActionsAreSafe(t *testing.T) {
 	w := newWorld(t, DefaultConfig())
 	ids := make([]AccountID, 10)
@@ -474,20 +477,22 @@ func TestConcurrentActionsAreSafe(t *testing.T) {
 		ids[i] = w.register(t, fmt.Sprintf("user%d", i))
 	}
 	w.p.Log().Subscribe(func(Event) {})
-	done := make(chan struct{})
-	for i := 0; i < 4; i++ {
-		i := i
-		go func() {
-			defer func() { done <- struct{}{} }()
-			s := w.login(t, fmt.Sprintf("user%d", i), 10)
-			for j := 0; j < 100; j++ {
-				s.Do(Request{Action: ActionFollow, Target: ids[(i+j+1)%len(ids)]})
-				s.Do(Request{Action: ActionUnfollow, Target: ids[(i+j+1)%len(ids)]})
-			}
-		}()
+	sessions := make([]*Session, 4)
+	for i := range sessions {
+		sessions[i] = w.login(t, fmt.Sprintf("user%d", i), 10)
 	}
-	for i := 0; i < 4; i++ {
-		<-done
+	next := make([]int, len(sessions))
+	interleave(3, len(sessions), 100, func(i int) {
+		j := next[i]
+		next[i]++
+		tgt := ids[(i+j+1)%len(ids)]
+		sessions[i].Do(Request{Action: ActionFollow, Target: tgt})
+		sessions[i].Do(Request{Action: ActionUnfollow, Target: tgt})
+	})
+	for _, id := range ids {
+		if n := w.p.Graph().OutDegree(id); n != 0 {
+			t.Errorf("account %d still follows %d accounts", id, n)
+		}
 	}
 }
 

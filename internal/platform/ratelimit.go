@@ -10,7 +10,7 @@ import (
 // platforms actually deploy for coarse API quotas, and they are what the
 // paper's services probe against.
 //
-// State is two dense arrays indexed by the owning shard's account row:
+// State is two dense arrays indexed by the platform's account row:
 // the bucket's hour stamp and the count consumed in it. The hour stamp
 // doubles as the epoch mark (the PR 5 collusion-dedup trick): a stale
 // stamp means the bucket is logically empty and is reset in place on
@@ -20,14 +20,11 @@ import (
 // means "never touched": the simulated clock starts decades after the
 // Unix epoch, so no real bucket can stamp 0.
 //
-// The limiter is not internally locked; the platform calls allow while
-// holding the owning shard's mutex.
+// The limiter is not locked; only the platform's apply path calls allow.
 type hourlyLimiter struct {
 	hours  []int64 // hours since Unix epoch identifying the bucket; 0 = never touched
 	counts []int32
 }
-
-func newHourlyLimiter() *hourlyLimiter { return &hourlyLimiter{} }
 
 // ensure grows the arrays to cover row r.
 func (l *hourlyLimiter) ensure(r uint32) {

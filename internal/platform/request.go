@@ -74,9 +74,10 @@ func (s *Session) Do(req Request) Response {
 //   - the gatekeeper sees the request with its ASN resolved, after the
 //     limiter — countermeasures observe only traffic the service would
 //     actually process;
-//   - all emission happens with no shard lock held (subscribers may call
-//     back into the platform).
+//   - every stage's state update lands before its emission (subscribers
+//     may call back into the platform).
 func (p *Platform) Do(req Request) Response {
+	p.guard.Check("platform.Do")
 	s := req.Session
 	if s == nil {
 		return Response{Outcome: OutcomeFailed, Err: ErrNoSession}
@@ -87,7 +88,7 @@ func (p *Platform) Do(req Request) Response {
 	// makes every mark below a no-op.
 	var sp *trace.Active
 	if tr := p.tracer; tr != nil {
-		sp = tr.StartRequest(trace.KindRequest, uint64(s.id), p.shardIndexOf(s.id), uint8(req.Action))
+		sp = tr.StartRequest(trace.KindRequest, uint64(s.id), 0, uint8(req.Action))
 	}
 
 	ev := Event{
@@ -126,27 +127,22 @@ func (p *Platform) Do(req Request) Response {
 	}
 	sp.Stage(trace.StagePreflight, trace.VerdictOK)
 
-	gate, faults := p.hooks()
-	sh := p.shardFor(s.id)
-	sh.lock()
-	r, ok := sh.tab.row(s.id)
-	if !ok || sh.tab.deleted[r] || sh.tab.sessionEpochs[r] != s.epoch {
-		sh.mu.Unlock()
+	r, ok := p.live(s.id)
+	if !ok || p.tab.sessionEpochs[r] != s.epoch {
 		sp.Stage(trace.StageSession, trace.VerdictRevoked)
 		sp.End(uint8(OutcomeFailed), uint64(ev.Target), uint64(ev.Post), 0)
 		return Response{Outcome: OutcomeFailed, Err: ErrSessionRevoked}
 	}
 	sp.Stage(trace.StageSession, trace.VerdictOK)
 	var fd FaultDecision
-	if faults != nil {
+	if p.faults != nil {
 		asn, _ := p.net.Lookup(ev.IP)
-		fd = faults.Decide(ev.Time, s.id, ev.Type, asn, uint64(ev.Target)<<32^uint64(ev.Post))
+		fd = p.faults.Decide(ev.Time, s.id, ev.Type, asn, uint64(ev.Target)<<32^uint64(ev.Post))
 	}
 	if fd.RevokeSession {
 		// Session-store flap: every live session for the account dies,
 		// exactly like an organic revocation — no event is emitted.
-		sh.tab.sessionEpochs[r]++
-		sh.mu.Unlock()
+		p.tab.sessionEpochs[r]++
 		sp.Stage(trace.StageFaults, trace.VerdictRevoked)
 		sp.End(uint8(OutcomeFailed), uint64(ev.Target), uint64(ev.Post), 0)
 		return Response{Outcome: OutcomeFailed, Err: ErrSessionRevoked}
@@ -155,7 +151,6 @@ func (p *Platform) Do(req Request) Response {
 		// Injected before rate limiting on purpose: an unavailable
 		// request consumes no budget, so a client retry cannot
 		// double-count against the limiter.
-		sh.mu.Unlock()
 		sp.Stage(trace.StageFaults, trace.VerdictUnavailable)
 		ev.Outcome = OutcomeUnavailable
 		ev = p.emitSpan(ev, sp)
@@ -177,11 +172,10 @@ func (p *Platform) Do(req Request) Response {
 			effLimit = 1
 		}
 	}
-	if !sh.limiter.allow(r, ev.Time, effLimit) {
+	if !p.limiter.allow(r, ev.Time, effLimit) {
 		// A denial is storm-attributable when the tightened limit fired
 		// below the level the ordinary limit would have tolerated.
-		storm := effLimit < limit && sh.limiter.peek(r, ev.Time) < limit
-		sh.mu.Unlock()
+		storm := effLimit < limit && p.limiter.peek(r, ev.Time) < limit
 		if storm {
 			sp.Stage(trace.StageRateLimit, trace.VerdictStorm)
 		} else {
@@ -198,11 +192,10 @@ func (p *Platform) Do(req Request) Response {
 		endSpan(sp, ev)
 		return Response{Outcome: OutcomeRateLimited, Err: ErrRateLimited}
 	}
-	sh.mu.Unlock()
 	sp.Stage(trace.StageRateLimit, trace.VerdictOK)
 
 	verdict := Allow
-	if gate != nil {
+	if gate := p.gate; gate != nil {
 		// The gatekeeper sees the request with its ASN resolved, exactly
 		// the signal surface detection uses.
 		greq := ev
@@ -303,9 +296,8 @@ func (p *Platform) fireEnforcement(e *pendingEnforcement) {
 }
 
 // applyAction performs the state mutation for an already-vetted request.
-// It runs after the pipeline's checks with no locks held; each case takes
-// exactly the stripes it needs. target is the preflight-resolved event
-// target (the post author for Like). Keeping this a method instead of a
+// target is the preflight-resolved event target (the post author for
+// Like). Keeping this a method instead of a
 // per-request closure is what makes Do allocation-free in steady state;
 // the behavior is identical to the closures it replaced.
 func (p *Platform) applyAction(req Request, resp *Response, target AccountID) (bool, error) {
@@ -315,12 +307,9 @@ func (p *Platform) applyAction(req Request, resp *Response, target AccountID) (b
 		if p.cfg.GraphWrites {
 			return p.graph.Like(s.id, req.Post)
 		}
-		sh := p.shardFor(target)
-		sh.lock()
-		if r, ok := sh.tab.row(target); ok {
-			sh.tab.bumpLike(r, req.Post)
+		if r, ok := p.tab.row(target); ok {
+			p.tab.bumpLike(r, req.Post)
 		}
-		sh.mu.Unlock()
 		return true, nil
 	case ActionFollow:
 		if p.cfg.GraphWrites {
@@ -338,15 +327,11 @@ func (p *Platform) applyAction(req Request, resp *Response, target AccountID) (b
 		}
 		return true, nil
 	case ActionPost:
-		sh := p.shardFor(s.id)
-		sh.lock()
-		r, ok := sh.tab.row(s.id)
-		if !ok || sh.tab.deleted[r] {
-			sh.mu.Unlock()
+		r, ok := p.live(s.id)
+		if !ok {
 			return false, ErrAccountGone
 		}
-		resp.Post = p.addPostLocked(sh, r)
-		sh.mu.Unlock()
+		resp.Post = p.addPost(r)
 		return true, nil
 	}
 	return false, fmt.Errorf("platform: action %v cannot be requested", req.Action)

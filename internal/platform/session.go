@@ -4,8 +4,8 @@ package platform
 // exactly what customers hand to an AAS: whoever holds the session can act
 // as the account until the password is reset.
 //
-// A session is safe for concurrent use, but simulation code normally drives
-// it from scheduler callbacks on the single simulated timeline.
+// A session holds no mutable state; its Do is a platform mutation, so it
+// runs on the world loop's apply path like every other one.
 //
 // Every action is submitted as a Request through Do — the single entry
 // point into the moderation pipeline. The former per-action shorthand

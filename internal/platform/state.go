@@ -2,13 +2,10 @@ package platform
 
 import (
 	"fmt"
-	"math"
 	"net/netip"
 	"slices"
 	"sort"
 	"time"
-
-	"footsteps/internal/socialgraph"
 )
 
 // This file is the platform's half of the snapshot/restore contract (see
@@ -16,12 +13,8 @@ import (
 // every piece of mutable platform state the request pipeline can touch;
 // RestoreState overwrites a freshly constructed platform with it. Both
 // run only at day boundaries on the single simulation timeline, with no
-// concurrent traffic.
-//
-// The representation is deliberately shard-independent: accounts, limiter
-// windows, and the post index are flattened and sorted by ID, so a
-// snapshot taken at one stripe count restores into any other — shard
-// count stays a pure performance knob even across a checkpoint.
+// concurrent traffic. Accounts and limiter windows are listed in
+// ascending ID order — the order of their rows.
 
 // State is the complete mutable state of a Platform.
 type State struct {
@@ -127,48 +120,44 @@ func (p *Platform) RestoreSession(st SessionState) *Session {
 // SnapshotState captures the platform's complete mutable state.
 func (p *Platform) SnapshotState() *State {
 	st := &State{
-		NextPost: p.nextPost.Load(),
+		NextPost: p.nextPost,
 		LogSeq:   p.log.Seq(),
 	}
-	for _, sh := range p.shards {
-		sh.rlock()
-		// Table rows are in registration order; per-account tallies are
-		// maintained sorted, so the flattened form needs only the global
-		// by-ID sort below to be identical to the historical map walk.
-		for r := uint32(0); int(r) < sh.tab.len(); r++ {
-			as := AccountState{
-				ID:           sh.tab.id(r),
-				Username:     sh.tab.usernames[r],
-				Password:     sh.tab.passwords[r],
-				Profile:      sh.tab.profiles[r],
-				HomeCountry:  sh.tab.homeCountries[r],
-				Created:      sh.tab.created[r],
-				Deleted:      sh.tab.deleted[r],
-				SessionEpoch: sh.tab.sessionEpochs[r],
-				Posts:        append([]PostID(nil), sh.tab.posts[r]...),
-			}
-			if ls := sh.tab.logins[r]; len(ls) > 0 {
-				as.LoginCountries = append([]CountryCount(nil), ls...)
-			}
-			if lc := sh.tab.likeCounts[r]; len(lc) > 0 {
-				as.LikeCounts = append([]PostCount(nil), lc...)
-			}
-			st.Accounts = append(st.Accounts, as)
+	t := &p.tab
+	// Per-account tallies are maintained sorted, so the flattened form is
+	// a straight copy.
+	for r := range t.registered {
+		if !t.registered[r] {
+			continue
 		}
-		for r, hour := range sh.limiter.hours {
-			if hour == 0 {
-				continue // never touched
-			}
-			st.Limiters = append(st.Limiters, LimiterState{
-				ID: sh.tab.id(uint32(r)), Hour: hour, Count: int(sh.limiter.counts[r]),
-			})
+		as := AccountState{
+			ID:           AccountID(r + 1),
+			Username:     t.usernames[r],
+			Password:     t.passwords[r],
+			Profile:      t.profiles[r],
+			HomeCountry:  t.homeCountries[r],
+			Created:      t.created[r],
+			Deleted:      t.deleted[r],
+			SessionEpoch: t.sessionEpochs[r],
+			Posts:        append([]PostID(nil), t.posts[r]...),
 		}
-		sh.mu.RUnlock()
+		if ls := t.logins[r]; len(ls) > 0 {
+			as.LoginCountries = append([]CountryCount(nil), ls...)
+		}
+		if lc := t.likeCounts[r]; len(lc) > 0 {
+			as.LikeCounts = append([]PostCount(nil), lc...)
+		}
+		st.Accounts = append(st.Accounts, as)
 	}
-	sort.Slice(st.Accounts, func(i, j int) bool { return st.Accounts[i].ID < st.Accounts[j].ID })
-	sort.Slice(st.Limiters, func(i, j int) bool { return st.Limiters[i].ID < st.Limiters[j].ID })
+	for r, hour := range p.limiter.hours {
+		if hour == 0 {
+			continue // never touched
+		}
+		st.Limiters = append(st.Limiters, LimiterState{
+			ID: AccountID(r + 1), Hour: hour, Count: int(p.limiter.counts[r]),
+		})
+	}
 
-	p.tags.mu.RLock()
 	for tag, r := range p.tags.byTag {
 		ts := TagState{Tag: tag}
 		n := r.next
@@ -185,7 +174,6 @@ func (p *Platform) SnapshotState() *State {
 		}
 		st.Tags = append(st.Tags, ts)
 	}
-	p.tags.mu.RUnlock()
 	sort.Slice(st.Tags, func(i, j int) bool { return st.Tags[i].Tag < st.Tags[j].Tag })
 
 	for _, e := range p.enforce {
@@ -198,92 +186,92 @@ func (p *Platform) SnapshotState() *State {
 }
 
 // RestoreState overwrites the platform's mutable state with a snapshot.
-// The caller is responsible for re-registering the pending enforcements'
-// scheduler events via RestoreEnforcements (after the scheduler has been
-// fast-forwarded to the snapshot instant).
+// Restore the graph first: account IDs are checked against the IDs it
+// has minted. The caller is responsible for re-registering the pending
+// enforcements' scheduler events via RestoreEnforcements (after the
+// scheduler has been fast-forwarded to the snapshot instant).
 //
-// A state the post→author index cannot hold — an account ID past
-// uint32, or a post ID above the number of posts listed (IDs are minted
-// densely from 1 and each is listed once, under its author) — can only
-// come from a corrupt snapshot; RestoreState rejects it with an error
-// before touching anything.
+// A state the tables cannot hold — an account ID that is 0, above the
+// graph's minted IDs or listed out of order, or a post ID that is 0 or
+// above the minted post IDs (the graph's with GraphWrites on; with it
+// off, the snapshot's NextPost and the number of posts listed, since the
+// platform then mints every post densely and lists each under its
+// author) — can only come from a corrupt snapshot; RestoreState rejects
+// it with an error before allocating or touching anything.
 func (p *Platform) RestoreState(st *State) error {
-	var posts, highest uint64
+	p.guard.Check("platform.RestoreState")
+	maxAcct, maxPost := p.graph.Minted()
+	if !p.cfg.GraphWrites {
+		maxPost = PostID(st.NextPost)
+	}
+	var highest PostID
+	var prev AccountID
+	listed := 0
 	for i := range st.Accounts {
 		as := &st.Accounts[i]
-		if as.ID > math.MaxUint32 {
-			return fmt.Errorf("platform: restore: account ID %d exceeds the uint32 ID space", as.ID)
+		if as.ID == 0 || as.ID > maxAcct {
+			return fmt.Errorf("platform: restore: account ID %d outside the graph's [1, %d]", as.ID, maxAcct)
 		}
-		posts += uint64(len(as.Posts))
+		if as.ID <= prev {
+			return fmt.Errorf("platform: restore: account %d listed out of order", as.ID)
+		}
+		prev = as.ID
+		listed += len(as.Posts)
 		for _, pid := range as.Posts {
-			highest = max(highest, uint64(pid))
+			if pid == 0 || pid > maxPost {
+				return fmt.Errorf("platform: restore: account %d lists post ID %d outside [1, %d]", as.ID, pid, maxPost)
+			}
+			highest = max(highest, pid)
 		}
 	}
-	if highest > posts {
-		return fmt.Errorf("platform: restore: post ID %d exceeds the %d posts listed", highest, posts)
+	if !p.cfg.GraphWrites && uint64(highest) > uint64(listed) {
+		return fmt.Errorf("platform: restore: post ID %d exceeds the %d posts listed", highest, listed)
 	}
 
-	p.nextPost.Store(st.NextPost)
+	p.nextPost = st.NextPost
 	p.log.RestoreSeq(st.LogSeq)
 
 	// Size every table for the snapshot's rows up front, as Reserve does
 	// for a fresh world, so recovery pays no growth either. The post
-	// index needs one slot per listed post plus the unused slot 0.
-	per := socialgraph.ShardCapacity(len(st.Accounts), len(p.shards))
-	p.nameMu.Lock()
+	// index needs a slot per post ID plus the unused slot 0.
 	clear(p.byUsername)
-	p.nameMu.Unlock()
-	for _, sh := range p.shards {
-		sh.lock()
-		sh.tab.reset()
-		sh.tab.grow(per)
-		sh.limiter.reset()
-		sh.limiter.reserve(per)
-		sh.mu.Unlock()
+	p.tab.reset()
+	p.limiter.reset()
+	if n := len(st.Accounts); n > 0 {
+		rows := int(st.Accounts[n-1].ID)
+		p.tab.grow(rows)
+		p.limiter.reserve(rows)
 	}
-	p.posts.mu.Lock()
-	p.posts.author = slices.Grow(p.posts.author[:0], int(posts)+1)
-	p.posts.mu.Unlock()
+	p.posts.author = slices.Grow(p.posts.author[:0], int(highest)+1)
 
 	for i := range st.Accounts {
 		as := &st.Accounts[i]
-		sh := p.shardFor(as.ID)
-		sh.lock()
-		r := sh.tab.add(as.ID, as.Username, as.Password, as.Profile, as.HomeCountry, as.Created)
-		sh.tab.deleted[r] = as.Deleted
-		sh.tab.sessionEpochs[r] = as.SessionEpoch
+		r := p.tab.add(as.ID, as.Username, as.Password, as.Profile, as.HomeCountry, as.Created)
+		p.tab.deleted[r] = as.Deleted
+		p.tab.sessionEpochs[r] = as.SessionEpoch
 		if len(as.LoginCountries) > 0 {
-			sh.tab.logins[r] = append([]CountryCount(nil), as.LoginCountries...)
+			p.tab.logins[r] = append([]CountryCount(nil), as.LoginCountries...)
 		}
 		if len(as.Posts) > 0 {
-			sh.tab.posts[r] = append([]PostID(nil), as.Posts...)
+			p.tab.posts[r] = append([]PostID(nil), as.Posts...)
 		}
 		if len(as.LikeCounts) > 0 {
-			sh.tab.likeCounts[r] = append([]PostCount(nil), as.LikeCounts...)
+			p.tab.likeCounts[r] = append([]PostCount(nil), as.LikeCounts...)
 		}
-		sh.mu.Unlock()
 		if !as.Deleted {
-			p.nameMu.Lock()
 			p.byUsername[as.Username] = as.ID
-			p.nameMu.Unlock()
-			p.posts.mu.Lock()
 			for _, pid := range as.Posts {
 				p.posts.set(pid, as.ID)
 			}
-			p.posts.mu.Unlock()
 		}
 	}
 
 	for _, ls := range st.Limiters {
-		sh := p.shardFor(ls.ID)
-		sh.lock()
-		if r, ok := sh.tab.row(ls.ID); ok {
-			sh.limiter.set(r, ls.Hour, ls.Count)
+		if r, ok := p.tab.row(ls.ID); ok {
+			p.limiter.set(r, ls.Hour, ls.Count)
 		}
-		sh.mu.Unlock()
 	}
 
-	p.tags.mu.Lock()
 	clear(p.tags.byTag)
 	for _, ts := range st.Tags {
 		r := &tagRing{posts: make([]PostID, p.tags.keepup)}
@@ -292,7 +280,6 @@ func (p *Platform) RestoreState(st *State) error {
 		r.full = k == len(r.posts)
 		p.tags.byTag[ts.Tag] = r
 	}
-	p.tags.mu.Unlock()
 	return nil
 }
 
@@ -301,6 +288,7 @@ func (p *Platform) RestoreState(st *State) error {
 // has been fast-forwarded to the snapshot instant so the At targets are
 // in the future.
 func (p *Platform) RestoreEnforcements(sts []EnforcementState) {
+	p.guard.Check("platform.RestoreEnforcements")
 	p.enforce = p.enforce[:0]
 	for _, es := range sts {
 		e := &pendingEnforcement{from: es.From, to: es.To, due: es.Due}

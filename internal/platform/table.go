@@ -4,31 +4,29 @@ import (
 	"slices"
 	"sort"
 	"time"
-
-	"footsteps/internal/intern"
 )
 
-// accountTable is one shard's account records laid out struct-of-arrays:
-// a dense-row allocator (intern.Dense) maps the sparse AccountID space
-// onto rows of parallel slices, one slice per field. Compared with the
-// map[AccountID]*account it replaced, the table stores an account in a
-// handful of contiguous array cells instead of a heap object plus two
+// accountTable is the platform's account records laid out
+// struct-of-arrays: one slice per field, indexed by row. Accounts take
+// their IDs from the graph, which mints them densely from 1, so an
+// account's row is its ID − 1 and no ID→row map is needed. Compared with
+// the map[AccountID]*account it replaced, the table stores an account in
+// a handful of contiguous array cells instead of a heap object plus two
 // maps — the difference between ~1 KB and ~200 B per account, which is
 // what lets a million-account world fit in a few GB (see
 // docs/PERFORMANCE.md, "Scaling to 1M accounts").
 //
-// Rows are assigned in first-registration order and never recycled: a
-// deleted account keeps its row with deleted[r] set, exactly as the map
-// kept tombstoned records. Per-account small collections (login-country
-// tallies, per-post like counts) are kept as sorted slices — they are
-// tiny in practice, a sorted slice is half the size of a map, and
-// keeping them sorted makes snapshot encoding a straight copy.
+// Rows are never recycled: a deleted account keeps its row with
+// deleted[r] set. An ID the graph minted without platform registration
+// (tests build graph-only accounts) leaves an unregistered padding row.
+// Per-account small collections (login-country tallies, per-post like
+// counts) are kept as sorted slices — they are tiny in practice, a
+// sorted slice is half the size of a map, and keeping them sorted makes
+// snapshot encoding a straight copy.
 //
-// The table is not internally locked; its owning shard's mutex covers
-// every access, exactly like the map it replaced.
+// The table is not locked: only the world loop's apply phase writes it.
 type accountTable struct {
-	ids intern.Dense // AccountID ↔ dense row
-
+	registered    []bool // false = padding row for an unregistered ID
 	usernames     []string
 	passwords     []string
 	profiles      []Profile
@@ -41,41 +39,53 @@ type accountTable struct {
 	likeCounts    [][]PostCount    // sorted by post ID (stateless-graph mode)
 }
 
-// row returns the dense row for id, if the account has ever been
-// registered on this shard (deleted rows included, like the old map).
+// row returns the row for id if the account was ever registered
+// (deleted rows included). ID 0 wraps past every row, so it is absent
+// like any ID beyond the end.
 func (t *accountTable) row(id AccountID) (uint32, bool) {
-	return t.ids.Lookup(uint64(id))
+	r := uint64(id) - 1
+	if r >= uint64(len(t.registered)) || !t.registered[r] {
+		return 0, false
+	}
+	return uint32(r), true
 }
 
-// id returns the AccountID occupying row r.
-func (t *accountTable) id(r uint32) AccountID { return AccountID(t.ids.ID(r)) }
+// len reports the number of rows (registered, deleted and padding).
+func (t *accountTable) len() int { return len(t.registered) }
 
-// len reports the number of rows ever assigned (live + deleted).
-func (t *accountTable) len() int { return t.ids.Len() }
-
-// add appends a fresh account row and returns it.
+// add appends the row for id, padding any skipped IDs with unregistered
+// rows, and returns it. IDs must arrive in ascending order.
 func (t *accountTable) add(id AccountID, username, password string, prof Profile, home string, created time.Time) uint32 {
-	r := t.ids.Index(uint64(id))
-	if int(r) != len(t.usernames) {
+	r := int(id) - 1
+	if r < t.len() {
 		panic("platform: account registered twice")
 	}
-	t.usernames = append(t.usernames, username)
-	t.passwords = append(t.passwords, password)
-	t.profiles = append(t.profiles, prof)
-	t.homeCountries = append(t.homeCountries, home)
-	t.created = append(t.created, created)
-	t.deleted = append(t.deleted, false)
-	t.sessionEpochs = append(t.sessionEpochs, 0)
-	t.logins = append(t.logins, nil)
-	t.posts = append(t.posts, nil)
-	t.likeCounts = append(t.likeCounts, nil)
-	return r
+	for t.len() <= r {
+		t.registered = append(t.registered, false)
+		t.usernames = append(t.usernames, "")
+		t.passwords = append(t.passwords, "")
+		t.profiles = append(t.profiles, Profile{})
+		t.homeCountries = append(t.homeCountries, "")
+		t.created = append(t.created, time.Time{})
+		t.deleted = append(t.deleted, false)
+		t.sessionEpochs = append(t.sessionEpochs, 0)
+		t.logins = append(t.logins, nil)
+		t.posts = append(t.posts, nil)
+		t.likeCounts = append(t.likeCounts, nil)
+	}
+	t.registered[r] = true
+	t.usernames[r] = username
+	t.passwords[r] = password
+	t.profiles[r] = prof
+	t.homeCountries[r] = home
+	t.created[r] = created
+	return uint32(r)
 }
 
 // grow pre-sizes the table for n more rows, so registering them appends
 // into capacity instead of doubling every field slice as it fills.
 func (t *accountTable) grow(n int) {
-	t.ids.Grow(n)
+	t.registered = slices.Grow(t.registered, n)
 	t.usernames = slices.Grow(t.usernames, n)
 	t.passwords = slices.Grow(t.passwords, n)
 	t.profiles = slices.Grow(t.profiles, n)
@@ -90,7 +100,7 @@ func (t *accountTable) grow(n int) {
 
 // reset drops every row (restore path).
 func (t *accountTable) reset() {
-	t.ids.Restore(nil)
+	t.registered = t.registered[:0]
 	t.usernames = t.usernames[:0]
 	t.passwords = t.passwords[:0]
 	t.profiles = t.profiles[:0]
@@ -145,4 +155,33 @@ func (t *accountTable) likeCount(r uint32, pid PostID) int {
 		return lc[i].N
 	}
 	return 0
+}
+
+// postIndex is the post→author index. Post IDs are minted densely from
+// 1 in both graph modes (by the graph with GraphWrites on, by
+// Platform.nextPost with it off), so the index is a slice indexed by
+// PostID rather than a hash map: 4 bytes per post, no hashing, and no
+// rehash garbage as it grows. Author 0 means the post does not exist or
+// its author was deleted; AccountIDs count from 1 and fit uint32, since
+// the graph refuses to mint past that range.
+type postIndex struct {
+	author []uint32 // PostID → AccountID; 0 = absent
+}
+
+// set records pid's author. Posts are minted in ID order, so the slice
+// almost always grows by one slot at the end; the gap fill covers posts
+// the graph minted for accounts the platform does not index.
+func (x *postIndex) set(pid PostID, author AccountID) {
+	if n := int(pid) + 1 - len(x.author); n > 0 {
+		x.author = append(x.author, make([]uint32, n)...)
+	}
+	x.author[pid] = uint32(author)
+}
+
+// get resolves pid to its live author.
+func (x *postIndex) get(pid PostID) (AccountID, bool) {
+	if pid >= PostID(len(x.author)) || x.author[pid] == 0 {
+		return 0, false
+	}
+	return AccountID(x.author[pid]), true
 }

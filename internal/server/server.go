@@ -25,6 +25,16 @@ const (
 	pollInterval = 5 * time.Millisecond
 )
 
+// HTTP edge limits. They bound what a client can hold or send before its
+// request reaches a handler: a connection that never finishes its
+// headers is dropped, an oversized header block gets 431. The body and
+// idle keep-alive time stay unbounded — WebSocket subscribers and
+// loadgen clients hold connections open.
+const (
+	readHeaderTimeout = 5 * time.Second
+	maxHeaderBytes    = 64 << 10
+)
+
 // item is one admitted envelope in flight between a handler goroutine
 // and the world loop.
 type item struct {
@@ -156,7 +166,11 @@ func (s *Server) Start() error {
 		return fmt.Errorf("server: listen: %w", err)
 	}
 	s.ln = ln
-	s.httpSrv = &http.Server{Handler: s.mux()}
+	s.httpSrv = &http.Server{
+		Handler:           s.mux(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
 	s.simStart = s.w.Sched.Clock().Now()
 	s.wallStart = time.Now()
 	s.accepting.Store(true)

@@ -386,3 +386,48 @@ func TestServeOverloadedBackpressure(t *testing.T) {
 		t.Fatalf("second submit: %v", werr)
 	}
 }
+
+// TestServeRejectsOversizedHeader: a header block past maxHeaderBytes
+// is refused with 431 before any handler runs.
+func TestServeRejectsOversizedHeader(t *testing.T) {
+	s, _ := startServer(t, tinyConfig(59))
+	req, err := http.NewRequest("GET", "http://"+s.Addr()+"/healthz", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("X-Padding", strings.Repeat("a", 2*maxHeaderBytes))
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestHeaderFieldsTooLarge {
+		t.Fatalf("oversized header: status %d, want 431", resp.StatusCode)
+	}
+}
+
+// TestServeDropsStalledHeaders: a raw TCP client that sends half a
+// request line and then stalls is disconnected once readHeaderTimeout
+// passes, instead of holding its connection open forever.
+func TestServeDropsStalledHeaders(t *testing.T) {
+	t.Parallel()
+	s, _ := startServer(t, tinyConfig(61))
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /heal"); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	const slack = 3 * time.Second
+	conn.SetReadDeadline(start.Add(readHeaderTimeout + slack))
+	_, err = io.Copy(io.Discard, conn) // returns at EOF, when the server hangs up
+	if err != nil {
+		t.Fatalf("connection still open %v after a stalled request line: %v", time.Since(start), err)
+	}
+	if d := time.Since(start); d < readHeaderTimeout/2 {
+		t.Fatalf("connection dropped after %v, before the %v header timeout", d, readHeaderTimeout)
+	}
+}

@@ -178,17 +178,17 @@ func crashMatrixCase(t *testing.T, cfg core.Config, baseline []byte, fracs []flo
 	}
 }
 
-// TestCrashRecoveryProperty is the tentpole matrix: shards {1,4,16} ×
-// workers {1,4,8}, faults off and on, three deterministic kill points
-// each (the failure mode at each point — short write, fsync error,
-// ENOSPC — is a SplitMix64 verdict of the kill op).
+// TestCrashRecoveryProperty is the tentpole matrix: workers {1,4,8},
+// faults off and on, three deterministic kill points each (the failure
+// mode at each point — short write, fsync error, ENOSPC — is a
+// SplitMix64 verdict of the kill op). Case names carry shards=1:
+// platform and graph state each live in a single table.
 func TestCrashRecoveryProperty(t *testing.T) {
 	t.Parallel()
-	shardsList := []int{1, 4, 16}
 	workersList := []int{1, 4, 8}
 	fracs := []float64{0.25, 0.55, 0.85}
 	if testing.Short() {
-		shardsList, workersList = []int{4}, []int{4}
+		workersList = []int{4}
 	}
 	for _, faulted := range []bool{false, true} {
 		faulted := faulted
@@ -197,19 +197,16 @@ func TestCrashRecoveryProperty(t *testing.T) {
 			base = faultedConfig(7, 1)
 		}
 		baseline := Capture(base)
-		for _, shards := range shardsList {
-			for _, workers := range workersList {
-				shards, workers := shards, workers
-				t.Run(fmt.Sprintf("faults=%v/shards=%d/workers=%d", faulted, shards, workers), func(t *testing.T) {
-					t.Parallel()
-					cfg := smallConfig(7, workers)
-					if faulted {
-						cfg = faultedConfig(7, workers)
-					}
-					cfg.Shards = shards
-					crashMatrixCase(t, cfg, baseline, fracs)
-				})
-			}
+		for _, workers := range workersList {
+			workers := workers
+			t.Run(fmt.Sprintf("faults=%v/shards=1/workers=%d", faulted, workers), func(t *testing.T) {
+				t.Parallel()
+				cfg := smallConfig(7, workers)
+				if faulted {
+					cfg = faultedConfig(7, workers)
+				}
+				crashMatrixCase(t, cfg, baseline, fracs)
+			})
 		}
 	}
 }

@@ -170,35 +170,31 @@ func replayIngressRun(t *testing.T, cfg core.Config, log []byte) []byte {
 }
 
 // TestIngressReplayMatchesLive pins the serve determinism contract at
-// shards {1,4} × workers {1,4}: the ingress-log replay reproduces the
-// live stream byte for byte, and the stream itself is invariant across
-// execution strategies — parallel stepping and lock striping change
-// nothing about what happened, only how fast.
+// workers {1,4}: the ingress-log replay reproduces the live stream byte
+// for byte, and the stream itself is invariant across execution
+// strategies — parallel stepping changes nothing about what happened,
+// only how fast.
 func TestIngressReplayMatchesLive(t *testing.T) {
 	t.Parallel()
 	var want []byte
 	var wantFrom string
-	for _, shards := range []int{1, 4} {
-		for _, workers := range []int{1, 4} {
-			shards, workers := shards, workers
-			name := fmt.Sprintf("shards=%d/workers=%d", shards, workers)
-			cfg := smallConfig(5, workers)
-			cfg.Shards = shards
-			live := captureIngressRun(t, cfg)
-			if len(live.stream) == 0 || len(live.log) == 0 {
-				t.Fatalf("%s: empty capture (stream %d bytes, log %d bytes)", name, len(live.stream), len(live.log))
-			}
-			replayed := replayIngressRun(t, cfg, live.log)
-			if !bytes.Equal(live.stream, replayed) {
-				t.Errorf("%s: ingress replay diverged: live %s (%d bytes) vs replay %s (%d bytes)",
-					name, Hash(live.stream), len(live.stream), Hash(replayed), len(replayed))
-			}
-			if want == nil {
-				want, wantFrom = live.stream, name
-			} else if !bytes.Equal(want, live.stream) {
-				t.Errorf("%s: stream differs from %s: %s vs %s",
-					name, wantFrom, Hash(live.stream), Hash(want))
-			}
+	for _, workers := range []int{1, 4} {
+		name := fmt.Sprintf("workers=%d", workers)
+		cfg := smallConfig(5, workers)
+		live := captureIngressRun(t, cfg)
+		if len(live.stream) == 0 || len(live.log) == 0 {
+			t.Fatalf("%s: empty capture (stream %d bytes, log %d bytes)", name, len(live.stream), len(live.log))
+		}
+		replayed := replayIngressRun(t, cfg, live.log)
+		if !bytes.Equal(live.stream, replayed) {
+			t.Errorf("%s: ingress replay diverged: live %s (%d bytes) vs replay %s (%d bytes)",
+				name, Hash(live.stream), len(live.stream), Hash(replayed), len(replayed))
+		}
+		if want == nil {
+			want, wantFrom = live.stream, name
+		} else if !bytes.Equal(want, live.stream) {
+			t.Errorf("%s: stream differs from %s: %s vs %s",
+				name, wantFrom, Hash(live.stream), Hash(want))
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -164,9 +165,10 @@ func TestResumeEquivalence(t *testing.T) {
 }
 
 // TestResumeAcrossShardsAndWorkers restores one day-3 snapshot at every
-// (shards, workers) combination and demands the identical suffix and
-// final state from each: concurrency knobs stay pure performance knobs
-// across a checkpoint boundary.
+// worker count and demands the identical suffix and final state from
+// each: the worker count stays a pure performance knob across a
+// checkpoint boundary. Platform and graph state each live in a single
+// table, so every case runs at shards=1 and its name says so.
 func TestResumeAcrossShardsAndWorkers(t *testing.T) {
 	t.Parallel()
 	cfg := resumeConfig(2, 0)
@@ -182,25 +184,22 @@ func TestResumeAcrossShardsAndWorkers(t *testing.T) {
 		t.Fatalf("reference resume diverged: hash %s != %s", Hash(refStream), Hash(want))
 	}
 
-	for _, shards := range []int{1, 4, 16} {
-		for _, workers := range []int{1, 4, 8} {
-			shards, workers := shards, workers
-			t.Run(fmt.Sprintf("shards=%d/workers=%d", shards, workers), func(t *testing.T) {
-				t.Parallel()
-				rcfg := cfg
-				rcfg.Shards = shards
-				rcfg.Workers = workers
-				got, final := captureResumed(t, rcfg, snap)
-				if !bytes.Equal(want, got) {
-					t.Errorf("resumed stream diverged: hash %s != %s (lengths %d vs %d)",
-						Hash(got), Hash(want), len(got), len(want))
-				}
-				if !bytes.Equal(refFinal, final) {
-					t.Errorf("final world state diverged: hash %s != %s (lengths %d vs %d)",
-						Hash(final), Hash(refFinal), len(final), len(refFinal))
-				}
-			})
-		}
+	for _, workers := range []int{1, 4, 8} {
+		workers := workers
+		t.Run(fmt.Sprintf("shards=1/workers=%d", workers), func(t *testing.T) {
+			t.Parallel()
+			rcfg := cfg
+			rcfg.Workers = workers
+			got, final := captureResumed(t, rcfg, snap)
+			if !bytes.Equal(want, got) {
+				t.Errorf("resumed stream diverged: hash %s != %s (lengths %d vs %d)",
+					Hash(got), Hash(want), len(got), len(want))
+			}
+			if !bytes.Equal(refFinal, final) {
+				t.Errorf("final world state diverged: hash %s != %s (lengths %d vs %d)",
+					Hash(final), Hash(refFinal), len(final), len(refFinal))
+			}
+		})
 	}
 }
 
@@ -227,6 +226,48 @@ func TestResumeEquivalenceFaulted(t *testing.T) {
 					Hash(got), Hash(want), len(got), len(want))
 			}
 		})
+	}
+}
+
+// TestRestoreWorldRejectsForgedIDs: platform and graph rows sit at ID − 1,
+// so a snapshot naming an account ID, or claiming an ID counter, past
+// what the run minted would size a table. RestoreWorld must return an
+// error instead, without growing the heap. Not parallel: the heap
+// measurement must not see other tests' allocations.
+func TestRestoreWorldRejectsForgedIDs(t *testing.T) {
+	cfg := resumeConfig(6, 0)
+	cfg.GraphWrites = true
+	snaps := map[int]*bytes.Buffer{2: {}}
+	captureWithSnapshots(t, cfg, snaps)
+	clean := snaps[2].Bytes()
+	if _, err := core.RestoreWorld(cfg, bytes.NewReader(clean)); err != nil {
+		t.Fatalf("unforged snapshot rejected: %v", err)
+	}
+	for name, forge := range map[string]func(*persistence.WorldState){
+		"graph account ID 1<<31":    func(st *persistence.WorldState) { st.Graph.Accounts[len(st.Graph.Accounts)-1].ID = 1 << 31 },
+		"graph NextAcct 1<<31":      func(st *persistence.WorldState) { st.Graph.NextAcct = 1 << 31 },
+		"graph NextPost 1<<31":      func(st *persistence.WorldState) { st.Graph.NextPost = 1 << 31 },
+		"platform account ID 1<<31": func(st *persistence.WorldState) { st.Platform.Accounts[len(st.Platform.Accounts)-1].ID = 1 << 31 },
+		"platform post ID 1<<31":    func(st *persistence.WorldState) { st.Platform.Accounts[0].Posts[0] = 1 << 31 },
+	} {
+		h, st, err := persistence.DecodeBytes(clean)
+		if err != nil {
+			t.Fatal(err)
+		}
+		forge(st)
+		forged := persistence.EncodeBytes(h, st)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		_, err = core.RestoreWorld(cfg, bytes.NewReader(forged))
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: RestoreWorld accepted the snapshot", name)
+		}
+		if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > 8<<20 {
+			t.Errorf("%s: rejected restore grew the heap by %d bytes", name, grew)
+		}
 	}
 }
 
@@ -258,9 +299,8 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 	// Performance knobs are excluded from the fingerprint on purpose.
 	perfCfg := cfg
 	perfCfg.Workers = 8
-	perfCfg.Shards = 16
 	if _, err := core.RestoreWorld(perfCfg, bytes.NewReader(snap)); err != nil {
-		t.Errorf("worker/shard change must not invalidate a snapshot, got %v", err)
+		t.Errorf("worker change must not invalidate a snapshot, got %v", err)
 	}
 
 	// A truncated checkpoint must surface a TruncatedError with the

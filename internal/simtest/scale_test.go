@@ -23,8 +23,8 @@ func scaleConfig(accounts, days int) core.Config {
 
 // scaleSmokeHeapBudget bounds runtime.HeapAlloc after the 100k-account,
 // 7-day smoke world finishes, in bytes. The struct-of-arrays layout
-// measures ~760 B/account live (accounts, posts, graph adjacency, and
-// event-log bookkeeping together ≈ 72 MiB); the 256 MiB budget is ~3x
+// measures ~690 B/account live (accounts, posts, graph adjacency, and
+// event-log bookkeeping together ≈ 66 MiB); the 256 MiB budget is ~3x
 // headroom, enough to absorb GC timing but not a return to per-account
 // heap objects. Raise only with a heap profile — see
 // docs/PERFORMANCE.md.

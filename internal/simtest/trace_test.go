@@ -33,7 +33,7 @@ func tracedCapture(t *testing.T, cfg core.Config, sampleN uint64) ([]byte, []byt
 // TestTraceInertness is the tentpole invariant for span tracing: a world
 // recording a full FTRC1 trace — every request span, every tick section,
 // every instant — produces the byte-identical FSEV1 event stream of an
-// untraced world, at every (shards, workers) combination. The tracer
+// untraced world, at every worker count. The tracer
 // hooks sit directly on the platform's request path and the step pool's
 // section barrier, so any feedback (an RNG draw, a reordered apply, an
 // extra allocation observed through timing-sensitive code) diverges the
@@ -44,18 +44,14 @@ func TestTraceInertness(t *testing.T) {
 	if n := countEvents(t, want); n < 1000 {
 		t.Fatalf("baseline run produced only %d events; comparison would be vacuous", n)
 	}
-	for _, shards := range []int{1, 4, 16} {
-		for _, workers := range []int{1, 4, 8} {
-			cfg := smallConfig(1, workers)
-			cfg.Shards = shards
-			got, traced := tracedCapture(t, cfg, 1)
-			if !bytes.Equal(want, got) {
-				t.Errorf("shards=%d workers=%d: tracing changed the stream: %s != %s (lengths %d vs %d)",
-					shards, workers, Hash(got), Hash(want), len(got), len(want))
-			}
-			if len(traced) == 0 {
-				t.Errorf("shards=%d workers=%d: tracer wrote nothing; inertness comparison is vacuous", shards, workers)
-			}
+	for _, workers := range []int{1, 4, 8} {
+		got, traced := tracedCapture(t, smallConfig(1, workers), 1)
+		if !bytes.Equal(want, got) {
+			t.Errorf("workers=%d: tracing changed the stream: %s != %s (lengths %d vs %d)",
+				workers, Hash(got), Hash(want), len(got), len(want))
+		}
+		if len(traced) == 0 {
+			t.Errorf("workers=%d: tracer wrote nothing; inertness comparison is vacuous", workers)
 		}
 	}
 }

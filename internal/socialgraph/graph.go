@@ -8,20 +8,22 @@
 // paper's honeypot-deletion semantics: "when deleting a honeypot account,
 // all actions to or from the account are eventually removed").
 //
-// State is lock-striped across shards keyed by a stable hash of the ID
-// (see shard.go), so independent accounts and posts can be read and
-// mutated concurrently; cross-shard operations take their locks in
-// canonical order. Within each stripe, records are struct-of-arrays
-// tables with sorted-[]uint32 adjacency (see table.go), sized for
-// million-account worlds. All methods are safe for concurrent use.
+// Records are struct-of-arrays tables indexed by ID − 1, with
+// sorted-[]uint32 adjacency (see table.go), sized for million-account
+// worlds. The graph is not locked: it has a single writer, the world
+// loop's apply phase, and readers run only while that writer is parked
+// (plan workers after the step barrier, analyses between runs). Mutators
+// check the world's step.Guard and panic if called during a plan phase;
+// see docs/ARCHITECTURE.md, "Single-writer platform state".
 package socialgraph
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"time"
+
+	"footsteps/internal/step"
 )
 
 // AccountID identifies an account. IDs are assigned by the graph and are
@@ -47,114 +49,86 @@ type Comment struct {
 
 // Graph is the mutable social graph.
 type Graph struct {
-	ashards []*gShard
-	pshards []*pShard
+	accts acctTable
+	posts postTable
 
-	// idMu guards the ID counters. A leaf lock: held only to bump a
-	// counter, never while acquiring a shard.
-	idMu     sync.Mutex
 	nextAcct AccountID
 	nextPost PostID
+
+	guard *step.Guard // nil = unchecked
 }
 
-// New returns an empty graph with the default stripe count.
-func New() *Graph { return NewSharded(0) }
+// New returns an empty graph.
+func New() *Graph { return &Graph{} }
 
-// NewSharded returns an empty graph striped across n shards; n < 1 means
-// the default. Shard count only affects lock contention, never results.
-func NewSharded(n int) *Graph {
-	if n < 1 {
-		n = defaultShards
+// SetGuard installs the plan-phase guard every mutator checks. Call
+// during construction; nil (the default) checks nothing.
+func (g *Graph) SetGuard(gd *step.Guard) { g.guard = gd }
+
+// Reserve pre-sizes the account table for n more accounts, so
+// registering a known population allocates it once.
+func (g *Graph) Reserve(n int) {
+	g.guard.Check("socialgraph.Reserve")
+	if n > 0 {
+		g.accts.grow(n)
 	}
-	g := &Graph{
-		ashards: make([]*gShard, n),
-		pshards: make([]*pShard, n),
-	}
-	for i := range g.ashards {
-		g.ashards[i] = &gShard{}
-	}
-	for i := range g.pshards {
-		g.pshards[i] = &pShard{}
-	}
-	return g
 }
-
-// Shards reports the stripe count.
-func (g *Graph) Shards() int { return len(g.ashards) }
 
 // CreateAccount adds a fresh account and returns its ID.
 func (g *Graph) CreateAccount(now time.Time) AccountID {
-	g.idMu.Lock()
+	g.guard.Check("socialgraph.CreateAccount")
 	g.nextAcct++
 	id := g.nextAcct
-	g.idMu.Unlock()
 	if uint64(id) > math.MaxUint32 {
 		panic("socialgraph: account ID space exceeds uint32 adjacency")
 	}
-	s := g.ashard(id)
-	s.lock()
-	s.tab.add(id, now)
-	s.mu.Unlock()
+	g.accts.add(id, now)
 	return id
 }
 
 // Exists reports whether id is a live account.
 func (g *Graph) Exists(id AccountID) bool {
-	s := g.ashard(id)
-	s.rlock()
-	defer s.mu.RUnlock()
-	_, ok := s.tab.row(id)
+	_, ok := g.accts.row(id)
 	return ok
 }
 
+// Minted reports the highest AccountID and PostID minted so far (0
+// before the first): every ID the graph has handed out is in [1, Minted].
+func (g *Graph) Minted() (AccountID, PostID) { return g.nextAcct, g.nextPost }
+
 // NumAccounts returns the number of live accounts.
-func (g *Graph) NumAccounts() int {
-	n := 0
-	for _, s := range g.ashards {
-		s.rlock()
-		n += s.tab.nLive
-		s.mu.RUnlock()
-	}
-	return n
-}
+func (g *Graph) NumAccounts() int { return g.accts.nLive }
 
 // DeleteAccount removes the account and every trace of it: its posts (with
 // all likes and comments they received), its follow edges in both
-// directions, and all likes/comments it placed on others' posts. The
-// cascade can touch any account or post, so it takes every stripe — an
-// acceptable cost for the rare honeypot-deletion path.
+// directions, and all likes/comments it placed on others' posts.
 func (g *Graph) DeleteAccount(id AccountID) error {
-	unlock := g.lockAll()
-	defer unlock()
-	home := &g.ashards[g.aidx(id)].tab
-	r, ok := home.row(id)
+	g.guard.Check("socialgraph.DeleteAccount")
+	at, pt := &g.accts, &g.posts
+	r, ok := at.row(id)
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrNoAccount, id)
 	}
 	me := u32(uint64(id))
 	// Sever follow edges.
-	for _, f := range home.followers[r] {
-		ft := &g.ashards[g.aidx(AccountID(f))].tab
-		if fr, ok := ft.row(AccountID(f)); ok {
-			ft.followees[fr], _ = removeSorted(ft.followees[fr], me)
+	for _, f := range at.followers[r] {
+		if fr, ok := at.row(AccountID(f)); ok {
+			at.followees[fr], _ = removeSorted(at.followees[fr], me)
 		}
 	}
-	for _, f := range home.followees[r] {
-		ft := &g.ashards[g.aidx(AccountID(f))].tab
-		if fr, ok := ft.row(AccountID(f)); ok {
-			ft.followers[fr], _ = removeSorted(ft.followers[fr], me)
+	for _, f := range at.followees[r] {
+		if fr, ok := at.row(AccountID(f)); ok {
+			at.followers[fr], _ = removeSorted(at.followers[fr], me)
 		}
 	}
 	// Remove likes this account placed.
-	for _, pid := range home.likes[r] {
-		pt := &g.pshards[g.pidx(PostID(pid))].tab
+	for _, pid := range at.likes[r] {
 		if pr, ok := pt.row(PostID(pid)); ok {
 			pt.likes[pr], _ = removeSorted(pt.likes[pr], me)
 		}
 	}
 	// Remove comments this account placed.
-	for _, pc := range home.commented[r] {
-		pt := &g.pshards[g.pidx(PostID(pc.pid))].tab
+	for _, pc := range at.commented[r] {
 		pr, ok := pt.row(PostID(pc.pid))
 		if !ok {
 			continue
@@ -168,112 +142,93 @@ func (g *Graph) DeleteAccount(id AccountID) error {
 		pt.comments[pr] = kept
 	}
 	// Remove this account's own posts and the actions on them.
-	for _, pid := range home.posts[r] {
-		pt := &g.pshards[g.pidx(pid)].tab
+	for _, pid := range at.posts[r] {
 		pr, ok := pt.row(pid)
 		if !ok {
 			continue
 		}
 		p32 := u32(uint64(pid))
 		for _, liker := range pt.likes[pr] {
-			lt := &g.ashards[g.aidx(AccountID(liker))].tab
-			if lr, ok := lt.row(AccountID(liker)); ok {
-				lt.likes[lr], _ = removeSorted(lt.likes[lr], p32)
+			if lr, ok := at.row(AccountID(liker)); ok {
+				at.likes[lr], _ = removeSorted(at.likes[lr], p32)
 			}
 		}
 		for _, c := range pt.comments[pr] {
-			ct := &g.ashards[g.aidx(c.Author)].tab
-			if cr, ok := ct.row(c.Author); ok {
-				ct.bumpCommented(cr, p32, -1)
+			if cr, ok := at.row(c.Author); ok {
+				at.bumpCommented(cr, p32, -1)
 			}
 		}
 		pt.tombstone(pr)
 	}
-	home.tombstone(r)
+	at.tombstone(r)
 	return nil
 }
 
 // Follow adds the edge from → to. Following twice is a no-op reported via
 // the bool result (false when the edge already existed).
 func (g *Graph) Follow(from, to AccountID) (bool, error) {
+	g.guard.Check("socialgraph.Follow")
 	if from == to {
 		return false, ErrSelfAction
 	}
-	lo, hi := g.lockAccounts(from, to)
-	defer unlockAccounts(lo, hi)
-	ft := &g.ashards[g.aidx(from)].tab
-	fr, ok := ft.row(from)
+	t := &g.accts
+	fr, ok := t.row(from)
 	if !ok {
 		return false, fmt.Errorf("%w: %d", ErrNoAccount, from)
 	}
-	tt := &g.ashards[g.aidx(to)].tab
-	tr, ok := tt.row(to)
+	tr, ok := t.row(to)
 	if !ok {
 		return false, fmt.Errorf("%w: %d", ErrNoAccount, to)
 	}
-	fees, added := insertSorted(ft.followees[fr], u32(uint64(to)))
+	fees, added := insertSorted(t.followees[fr], u32(uint64(to)))
 	if !added {
 		return false, nil
 	}
-	ft.followees[fr] = fees
-	tt.followers[tr], _ = insertSorted(tt.followers[tr], u32(uint64(from)))
+	t.followees[fr] = fees
+	t.followers[tr], _ = insertSorted(t.followers[tr], u32(uint64(from)))
 	return true, nil
 }
 
 // Unfollow removes the edge from → to. Removing a missing edge is a no-op
 // reported via the bool result.
 func (g *Graph) Unfollow(from, to AccountID) (bool, error) {
-	lo, hi := g.lockAccounts(from, to)
-	defer unlockAccounts(lo, hi)
-	ft := &g.ashards[g.aidx(from)].tab
-	fr, ok := ft.row(from)
+	g.guard.Check("socialgraph.Unfollow")
+	t := &g.accts
+	fr, ok := t.row(from)
 	if !ok {
 		return false, fmt.Errorf("%w: %d", ErrNoAccount, from)
 	}
-	tt := &g.ashards[g.aidx(to)].tab
-	tr, ok := tt.row(to)
+	tr, ok := t.row(to)
 	if !ok {
 		return false, fmt.Errorf("%w: %d", ErrNoAccount, to)
 	}
-	fees, had := removeSorted(ft.followees[fr], u32(uint64(to)))
+	fees, had := removeSorted(t.followees[fr], u32(uint64(to)))
 	if !had {
 		return false, nil
 	}
-	ft.followees[fr] = fees
-	tt.followers[tr], _ = removeSorted(tt.followers[tr], u32(uint64(from)))
+	t.followees[fr] = fees
+	t.followers[tr], _ = removeSorted(t.followers[tr], u32(uint64(from)))
 	return true, nil
 }
 
 // Follows reports whether the edge from → to exists.
 func (g *Graph) Follows(from, to AccountID) bool {
-	s := g.ashard(from)
-	s.rlock()
-	defer s.mu.RUnlock()
-	r, ok := s.tab.row(from)
-	if !ok {
-		return false
-	}
-	return containsSorted(s.tab.followees[r], u32(uint64(to)))
+	r, ok := g.accts.row(from)
+	return ok && to <= math.MaxUint32 && containsSorted(g.accts.followees[r], uint32(to))
 }
 
 // InDegree returns the follower count (the paper's "followers").
 func (g *Graph) InDegree(id AccountID) int {
-	s := g.ashard(id)
-	s.rlock()
-	defer s.mu.RUnlock()
-	if r, ok := s.tab.row(id); ok {
-		return len(s.tab.followers[r])
+	if r, ok := g.accts.row(id); ok {
+		return len(g.accts.followers[r])
 	}
 	return 0
 }
 
 // OutDegree returns the followee count (the paper's "following").
 func (g *Graph) OutDegree(id AccountID) int {
-	s := g.ashard(id)
-	s.rlock()
-	defer s.mu.RUnlock()
-	if r, ok := s.tab.row(id); ok {
-		return len(s.tab.followees[r])
+	if r, ok := g.accts.row(id); ok {
+		return len(g.accts.followees[r])
 	}
 	return 0
 }
@@ -281,27 +236,21 @@ func (g *Graph) OutDegree(id AccountID) int {
 // Followers returns a snapshot of the accounts following id, in
 // ascending ID order.
 func (g *Graph) Followers(id AccountID) []AccountID {
-	s := g.ashard(id)
-	s.rlock()
-	defer s.mu.RUnlock()
-	r, ok := s.tab.row(id)
+	r, ok := g.accts.row(id)
 	if !ok {
 		return nil
 	}
-	return widen[AccountID](s.tab.followers[r])
+	return widen[AccountID](g.accts.followers[r])
 }
 
 // Followees returns a snapshot of the accounts id follows, in ascending
 // ID order.
 func (g *Graph) Followees(id AccountID) []AccountID {
-	s := g.ashard(id)
-	s.rlock()
-	defer s.mu.RUnlock()
-	r, ok := s.tab.row(id)
+	r, ok := g.accts.row(id)
 	if !ok {
 		return nil
 	}
-	return widen[AccountID](s.tab.followees[r])
+	return widen[AccountID](g.accts.followees[r])
 }
 
 // widen copies a compressed ID set out to the public 64-bit type.
@@ -318,110 +267,84 @@ func widen[T ~uint64](s []uint32) []T {
 
 // AddPost creates a post authored by id.
 func (g *Graph) AddPost(id AccountID, now time.Time) (PostID, error) {
-	s := g.ashard(id)
-	s.lock()
-	defer s.mu.Unlock()
-	r, ok := s.tab.row(id)
+	g.guard.Check("socialgraph.AddPost")
+	r, ok := g.accts.row(id)
 	if !ok {
 		return 0, fmt.Errorf("%w: %d", ErrNoAccount, id)
 	}
-	g.idMu.Lock()
 	g.nextPost++
 	pid := g.nextPost
-	g.idMu.Unlock()
 	if uint64(pid) > math.MaxUint32 {
 		panic("socialgraph: post ID space exceeds uint32 adjacency")
 	}
-	ps := g.pshard(pid)
-	ps.lock()
-	ps.tab.add(pid, id, now)
-	ps.mu.Unlock()
-	s.tab.posts[r] = append(s.tab.posts[r], pid)
+	g.posts.add(pid, id, now)
+	g.accts.posts[r] = append(g.accts.posts[r], pid)
 	return pid, nil
 }
 
 // Posts returns the IDs of id's posts in creation order.
 func (g *Graph) Posts(id AccountID) []PostID {
-	s := g.ashard(id)
-	s.rlock()
-	defer s.mu.RUnlock()
-	r, ok := s.tab.row(id)
+	r, ok := g.accts.row(id)
 	if !ok {
 		return nil
 	}
-	return append([]PostID(nil), s.tab.posts[r]...)
+	return append([]PostID(nil), g.accts.posts[r]...)
 }
 
 // PostAuthor returns the author of pid.
 func (g *Graph) PostAuthor(pid PostID) (AccountID, error) {
-	s := g.pshard(pid)
-	s.rlock()
-	defer s.mu.RUnlock()
-	r, ok := s.tab.row(pid)
+	r, ok := g.posts.row(pid)
 	if !ok {
 		return 0, fmt.Errorf("%w: %d", ErrNoPost, pid)
 	}
-	return AccountID(s.tab.authors[r]), nil
+	return AccountID(g.posts.authors[r]), nil
 }
 
 // Like records who liking pid. Liking your own post is allowed (as on the
 // real platform); liking twice is a no-op reported via the bool result.
 func (g *Graph) Like(who AccountID, pid PostID) (bool, error) {
-	sa := g.ashard(who)
-	sa.lock()
-	defer sa.mu.Unlock()
-	ar, ok := sa.tab.row(who)
+	g.guard.Check("socialgraph.Like")
+	ar, ok := g.accts.row(who)
 	if !ok {
 		return false, fmt.Errorf("%w: %d", ErrNoAccount, who)
 	}
-	sp := g.pshard(pid)
-	sp.lock()
-	defer sp.mu.Unlock()
-	pr, ok := sp.tab.row(pid)
+	pr, ok := g.posts.row(pid)
 	if !ok {
 		return false, fmt.Errorf("%w: %d", ErrNoPost, pid)
 	}
-	likes, added := insertSorted(sp.tab.likes[pr], u32(uint64(who)))
+	likes, added := insertSorted(g.posts.likes[pr], u32(uint64(who)))
 	if !added {
 		return false, nil
 	}
-	sp.tab.likes[pr] = likes
-	sa.tab.likes[ar], _ = insertSorted(sa.tab.likes[ar], u32(uint64(pid)))
+	g.posts.likes[pr] = likes
+	g.accts.likes[ar], _ = insertSorted(g.accts.likes[ar], u32(uint64(pid)))
 	return true, nil
 }
 
 // Unlike removes who's like from pid.
 func (g *Graph) Unlike(who AccountID, pid PostID) (bool, error) {
-	sa := g.ashard(who)
-	sa.lock()
-	defer sa.mu.Unlock()
-	ar, ok := sa.tab.row(who)
+	g.guard.Check("socialgraph.Unlike")
+	ar, ok := g.accts.row(who)
 	if !ok {
 		return false, fmt.Errorf("%w: %d", ErrNoAccount, who)
 	}
-	sp := g.pshard(pid)
-	sp.lock()
-	defer sp.mu.Unlock()
-	pr, ok := sp.tab.row(pid)
+	pr, ok := g.posts.row(pid)
 	if !ok {
 		return false, fmt.Errorf("%w: %d", ErrNoPost, pid)
 	}
-	likes, had := removeSorted(sp.tab.likes[pr], u32(uint64(who)))
+	likes, had := removeSorted(g.posts.likes[pr], u32(uint64(who)))
 	if !had {
 		return false, nil
 	}
-	sp.tab.likes[pr] = likes
-	sa.tab.likes[ar], _ = removeSorted(sa.tab.likes[ar], u32(uint64(pid)))
+	g.posts.likes[pr] = likes
+	g.accts.likes[ar], _ = removeSorted(g.accts.likes[ar], u32(uint64(pid)))
 	return true, nil
 }
 
 // LikeCount returns the number of likes on pid.
 func (g *Graph) LikeCount(pid PostID) int {
-	s := g.pshard(pid)
-	s.rlock()
-	defer s.mu.RUnlock()
-	if r, ok := s.tab.row(pid); ok {
-		return len(s.tab.likes[r])
+	if r, ok := g.posts.row(pid); ok {
+		return len(g.posts.likes[r])
 	}
 	return 0
 }
@@ -429,47 +352,36 @@ func (g *Graph) LikeCount(pid PostID) int {
 // Likers returns a snapshot of the accounts that liked pid, in ascending
 // ID order.
 func (g *Graph) Likers(pid PostID) []AccountID {
-	s := g.pshard(pid)
-	s.rlock()
-	defer s.mu.RUnlock()
-	r, ok := s.tab.row(pid)
+	r, ok := g.posts.row(pid)
 	if !ok {
 		return nil
 	}
-	return widen[AccountID](s.tab.likes[r])
+	return widen[AccountID](g.posts.likes[r])
 }
 
 // AddComment appends a comment by who to pid.
 func (g *Graph) AddComment(who AccountID, pid PostID, text string, now time.Time) error {
-	sa := g.ashard(who)
-	sa.lock()
-	defer sa.mu.Unlock()
-	ar, ok := sa.tab.row(who)
+	g.guard.Check("socialgraph.AddComment")
+	ar, ok := g.accts.row(who)
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrNoAccount, who)
 	}
-	sp := g.pshard(pid)
-	sp.lock()
-	defer sp.mu.Unlock()
-	pr, ok := sp.tab.row(pid)
+	pr, ok := g.posts.row(pid)
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrNoPost, pid)
 	}
-	sp.tab.comments[pr] = append(sp.tab.comments[pr], Comment{Author: who, Text: text, At: now})
-	sa.tab.bumpCommented(ar, u32(uint64(pid)), 1)
+	g.posts.comments[pr] = append(g.posts.comments[pr], Comment{Author: who, Text: text, At: now})
+	g.accts.bumpCommented(ar, u32(uint64(pid)), 1)
 	return nil
 }
 
 // Comments returns a snapshot of pid's comments in posting order.
 func (g *Graph) Comments(pid PostID) []Comment {
-	s := g.pshard(pid)
-	s.rlock()
-	defer s.mu.RUnlock()
-	r, ok := s.tab.row(pid)
+	r, ok := g.posts.row(pid)
 	if !ok {
 		return nil
 	}
-	return append([]Comment(nil), s.tab.comments[r]...)
+	return append([]Comment(nil), g.posts.comments[r]...)
 }
 
 // EngagementRate computes the influencer metric the services promote (§2):
@@ -477,28 +389,17 @@ func (g *Graph) Comments(pid PostID) []Comment {
 //	ER = (likes + comments on the user's posts) / followers
 //
 // It returns 0 for accounts with no followers, missing accounts, or
-// accounts with no posts. The follower count and post list are
-// snapshotted first, then each post is read under its own stripe — the
-// serial analysis paths that call this see a quiescent graph either way.
+// accounts with no posts.
 func (g *Graph) EngagementRate(id AccountID) float64 {
-	s := g.ashard(id)
-	s.rlock()
-	r, ok := s.tab.row(id)
-	if !ok || len(s.tab.followers[r]) == 0 {
-		s.mu.RUnlock()
+	r, ok := g.accts.row(id)
+	if !ok || len(g.accts.followers[r]) == 0 {
 		return 0
 	}
-	followers := len(s.tab.followers[r])
-	posts := append([]PostID(nil), s.tab.posts[r]...)
-	s.mu.RUnlock()
 	total := 0
-	for _, pid := range posts {
-		ps := g.pshard(pid)
-		ps.rlock()
-		if pr, ok := ps.tab.row(pid); ok {
-			total += len(ps.tab.likes[pr]) + len(ps.tab.comments[pr])
+	for _, pid := range g.accts.posts[r] {
+		if pr, ok := g.posts.row(pid); ok {
+			total += len(g.posts.likes[pr]) + len(g.posts.comments[pr])
 		}
-		ps.mu.RUnlock()
 	}
-	return float64(total) / float64(followers)
+	return float64(total) / float64(len(g.accts.followers[r]))
 }

@@ -276,7 +276,9 @@ func TestDegreeConservation(t *testing.T) {
 	}
 }
 
-// The graph must tolerate concurrent mutation from many goroutines.
+// TestConcurrentSafety: the graph has one writer, but plan workers read
+// it from many goroutines while that writer is parked. Reads must not
+// write anything shared (-race checks) and must all see the same graph.
 func TestConcurrentSafety(t *testing.T) {
 	t.Parallel()
 	g := New()
@@ -286,6 +288,10 @@ func TestConcurrentSafety(t *testing.T) {
 		ids[i] = g.CreateAccount(t0)
 	}
 	pid, _ := g.AddPost(ids[0], t0)
+	for i, a := range ids {
+		g.Follow(a, ids[(i+1)%n])
+		g.Like(a, pid)
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		w := w
@@ -295,11 +301,11 @@ func TestConcurrentSafety(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				a := ids[(w+i)%n]
 				b := ids[(w+i+1)%n]
-				g.Follow(a, b)
-				g.Like(a, pid)
-				g.InDegree(b)
+				if !g.Follows(a, b) || g.InDegree(b) != 1 || g.LikeCount(pid) != n {
+					t.Errorf("reader %d saw a changed graph", w)
+					return
+				}
 				g.EngagementRate(b)
-				g.Unfollow(a, b)
 			}
 		}()
 	}

@@ -1,13 +1,14 @@
 package socialgraph
 
 import (
-	"sort"
+	"fmt"
+	"math"
 	"time"
 )
 
 // Snapshot/restore support (see internal/persistence). The serialized
-// form is shard-independent — accounts and posts are flattened and
-// sorted by ID — and stores only one side of each symmetric relation:
+// form lists live accounts and posts in ascending ID order — the order
+// of their rows — and stores only one side of each symmetric relation:
 // follower sets, per-account like sets, and per-account comment counts
 // are derived on restore from followee sets, post like sets, and post
 // comment lists respectively. The in-memory adjacency is kept sorted,
@@ -42,128 +43,167 @@ type PostState struct {
 
 // SnapshotState captures the graph's complete mutable state.
 func (g *Graph) SnapshotState() *State {
-	g.idMu.Lock()
 	st := &State{NextAcct: g.nextAcct, NextPost: g.nextPost}
-	g.idMu.Unlock()
-	for _, s := range g.ashards {
-		s.rlock()
-		for r := uint32(0); int(r) < len(s.tab.live); r++ {
-			if !s.tab.live[r] {
-				continue
-			}
-			st.Accounts = append(st.Accounts, AccountState{
-				ID:        AccountID(s.tab.ids.ID(r)),
-				Created:   s.tab.created[r],
-				Followees: widen[AccountID](s.tab.followees[r]),
-				Posts:     append([]PostID(nil), s.tab.posts[r]...),
-			})
+	at := &g.accts
+	for r := range at.live {
+		if !at.live[r] {
+			continue
 		}
-		s.mu.RUnlock()
+		st.Accounts = append(st.Accounts, AccountState{
+			ID:        AccountID(r + 1),
+			Created:   at.created[r],
+			Followees: widen[AccountID](at.followees[r]),
+			Posts:     append([]PostID(nil), at.posts[r]...),
+		})
 	}
-	sort.Slice(st.Accounts, func(i, j int) bool { return st.Accounts[i].ID < st.Accounts[j].ID })
-	for _, s := range g.pshards {
-		s.rlock()
-		for r := uint32(0); int(r) < len(s.tab.live); r++ {
-			if !s.tab.live[r] {
-				continue
-			}
-			st.Posts = append(st.Posts, PostState{
-				ID:       PostID(s.tab.ids.ID(r)),
-				Author:   AccountID(s.tab.authors[r]),
-				Created:  s.tab.created[r],
-				Likes:    widen[AccountID](s.tab.likes[r]),
-				Comments: append([]Comment(nil), s.tab.comments[r]...),
-			})
+	pt := &g.posts
+	for r := range pt.live {
+		if !pt.live[r] {
+			continue
 		}
-		s.mu.RUnlock()
+		st.Posts = append(st.Posts, PostState{
+			ID:       PostID(r + 1),
+			Author:   AccountID(pt.authors[r]),
+			Created:  pt.created[r],
+			Likes:    widen[AccountID](pt.likes[r]),
+			Comments: append([]Comment(nil), pt.comments[r]...),
+		})
 	}
-	sort.Slice(st.Posts, func(i, j int) bool { return st.Posts[i].ID < st.Posts[j].ID })
 	return st
+}
+
+// validate checks that every ID the state lists or references can index
+// the tables: accounts in [1, NextAcct] and posts in [1, NextPost], each
+// listed once in ascending order, within the uint32 ID space.
+func (st *State) validate() error {
+	if st.NextAcct > math.MaxUint32 || st.NextPost > math.MaxUint32 {
+		return fmt.Errorf("socialgraph: restore: ID counters %d/%d exceed the uint32 ID space", st.NextAcct, st.NextPost)
+	}
+	acct := func(id AccountID) error {
+		if id == 0 || id > st.NextAcct {
+			return fmt.Errorf("socialgraph: restore: account ID %d outside [1, %d]", id, st.NextAcct)
+		}
+		return nil
+	}
+	post := func(pid PostID) error {
+		if pid == 0 || pid > st.NextPost {
+			return fmt.Errorf("socialgraph: restore: post ID %d outside [1, %d]", pid, st.NextPost)
+		}
+		return nil
+	}
+	var prevA AccountID
+	for i := range st.Accounts {
+		as := &st.Accounts[i]
+		if err := acct(as.ID); err != nil {
+			return err
+		}
+		if as.ID <= prevA {
+			return fmt.Errorf("socialgraph: restore: account %d listed out of order", as.ID)
+		}
+		prevA = as.ID
+		for _, f := range as.Followees {
+			if err := acct(f); err != nil {
+				return err
+			}
+		}
+		for _, pid := range as.Posts {
+			if err := post(pid); err != nil {
+				return err
+			}
+		}
+	}
+	var prevP PostID
+	for i := range st.Posts {
+		ps := &st.Posts[i]
+		if err := post(ps.ID); err != nil {
+			return err
+		}
+		if ps.ID <= prevP {
+			return fmt.Errorf("socialgraph: restore: post %d listed out of order", ps.ID)
+		}
+		prevP = ps.ID
+		if err := acct(ps.Author); err != nil {
+			return err
+		}
+		for _, who := range ps.Likes {
+			if err := acct(who); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // RestoreState overwrites the graph's state with a snapshot, rebuilding
 // the derived sides of each symmetric relation. Derived sets come out
 // sorted for free: accounts and posts are visited in ascending-ID
-// order, so each append lands in order.
-func (g *Graph) RestoreState(st *State) {
-	g.idMu.Lock()
+// order, so each append lands in order. A state whose IDs could not
+// index the tables (see validate) can only come from a corrupt snapshot;
+// it is rejected with an error before anything is allocated or touched.
+// NextAcct and NextPost bound the tables' rows; the graph cannot check
+// them against anything, so a caller holding other state that bounds
+// them (core.RestoreWorld) checks them first.
+func (g *Graph) RestoreState(st *State) error {
+	g.guard.Check("socialgraph.RestoreState")
+	if err := st.validate(); err != nil {
+		return err
+	}
 	g.nextAcct = st.NextAcct
 	g.nextPost = st.NextPost
-	g.idMu.Unlock()
-	per := ShardCapacity(len(st.Accounts), len(g.ashards))
-	for _, s := range g.ashards {
-		s.lock()
-		s.tab.reset()
-		s.tab.grow(per)
-		s.mu.Unlock()
-	}
-	for _, s := range g.pshards {
-		s.lock()
-		s.tab.reset()
-		s.mu.Unlock()
+	at, pt := &g.accts, &g.posts
+	at.reset()
+	pt.reset()
+	if n := len(st.Accounts); n > 0 {
+		at.grow(int(st.Accounts[n-1].ID))
 	}
 	for i := range st.Accounts {
 		as := &st.Accounts[i]
-		s := g.ashard(as.ID)
-		s.lock()
-		r := s.tab.add(as.ID, as.Created)
+		r := at.add(as.ID, as.Created)
 		if n := len(as.Followees); n > 0 {
 			fees := make([]uint32, n)
 			for j, f := range as.Followees {
-				fees[j] = u32(uint64(f))
+				fees[j] = uint32(f)
 			}
-			s.tab.followees[r] = fees
+			at.followees[r] = fees
 		}
 		if len(as.Posts) > 0 {
-			s.tab.posts[r] = append([]PostID(nil), as.Posts...)
+			at.posts[r] = append([]PostID(nil), as.Posts...)
 		}
-		s.mu.Unlock()
 	}
 	// Derive follower sets now that every account exists.
 	for i := range st.Accounts {
 		as := &st.Accounts[i]
 		for _, f := range as.Followees {
-			s := g.ashard(f)
-			s.lock()
-			if r, ok := s.tab.row(f); ok {
-				s.tab.followers[r] = append(s.tab.followers[r], u32(uint64(as.ID)))
+			if r, ok := at.row(f); ok {
+				at.followers[r] = append(at.followers[r], uint32(as.ID))
 			}
-			s.mu.Unlock()
 		}
 	}
 	for i := range st.Posts {
 		ps := &st.Posts[i]
-		s := g.pshard(ps.ID)
-		s.lock()
-		r := s.tab.add(ps.ID, ps.Author, ps.Created)
+		r := pt.add(ps.ID, ps.Author, ps.Created)
 		if n := len(ps.Likes); n > 0 {
 			likes := make([]uint32, n)
 			for j, who := range ps.Likes {
-				likes[j] = u32(uint64(who))
+				likes[j] = uint32(who)
 			}
-			s.tab.likes[r] = likes
+			pt.likes[r] = likes
 		}
 		if len(ps.Comments) > 0 {
-			s.tab.comments[r] = append([]Comment(nil), ps.Comments...)
+			pt.comments[r] = append([]Comment(nil), ps.Comments...)
 		}
-		s.mu.Unlock()
 		// Derive the per-account like sets and comment counts.
-		pid := u32(uint64(ps.ID))
+		pid := uint32(ps.ID)
 		for _, who := range ps.Likes {
-			as := g.ashard(who)
-			as.lock()
-			if r, ok := as.tab.row(who); ok {
-				as.tab.likes[r] = append(as.tab.likes[r], pid)
+			if r, ok := at.row(who); ok {
+				at.likes[r] = append(at.likes[r], pid)
 			}
-			as.mu.Unlock()
 		}
 		for _, c := range ps.Comments {
-			as := g.ashard(c.Author)
-			as.lock()
-			if r, ok := as.tab.row(c.Author); ok {
-				as.tab.bumpCommented(r, pid, 1)
+			if r, ok := at.row(c.Author); ok {
+				at.bumpCommented(r, pid, 1)
 			}
-			as.mu.Unlock()
 		}
 	}
+	return nil
 }

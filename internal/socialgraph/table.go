@@ -5,14 +5,12 @@ import (
 	"slices"
 	"sort"
 	"time"
-
-	"footsteps/internal/intern"
 )
 
-// Struct-of-arrays storage for the graph's two record families. Each
-// lock stripe owns an acctTable / postTable: a dense-row allocator
-// (intern.Dense) maps the sparse ID space onto rows of parallel slices.
-// Follow adjacency, like sets, and comment tallies are sorted []uint32
+// Struct-of-arrays storage for the graph's two record families: one
+// acctTable and one postTable, each a set of parallel slices. The graph
+// mints AccountIDs and PostIDs densely from 1, so an ID's row is ID − 1
+// and no ID→row map is needed. Follow adjacency, like sets, and comment tallies are sorted []uint32
 // chunks instead of map[ID]struct{} sets — 4 bytes per edge endpoint
 // and zero per-set header cost beyond one slice, where each map cost
 // ~48 B empty and ~50 B per element. IDs fit uint32 because the graph
@@ -21,7 +19,8 @@ import (
 //
 // Rows are never recycled: DeleteAccount tombstones the row (live
 // false, adjacency released) so the ID can keep resolving to "gone"
-// forever, matching the deleted-map semantics it replaced. Sorted-set
+// forever. A restore leaves dead rows for the IDs a snapshot omits
+// (deleted accounts and posts), so the layout survives a checkpoint. Sorted-set
 // mutation is O(degree) memmove — fine for the honeypot-scale studies
 // that run with GraphWrites on; the population-scale business sim
 // keeps GraphWrites off and never mutates adjacency.
@@ -70,9 +69,8 @@ type pidCount struct {
 	n   int32
 }
 
-// acctTable is one stripe's account rows.
+// acctTable holds the account rows; row r is AccountID r+1.
 type acctTable struct {
-	ids   intern.Dense // AccountID ↔ row
 	live  []bool
 	nLive int
 
@@ -84,30 +82,40 @@ type acctTable struct {
 	commented [][]pidCount
 }
 
+// row returns id's row if the account is live. ID 0 wraps past every
+// row, so it is absent like any ID beyond the end.
 func (t *acctTable) row(id AccountID) (uint32, bool) {
-	r, ok := t.ids.Lookup(uint64(id))
-	return r, ok && t.live[r]
+	r := uint64(id) - 1
+	if r >= uint64(len(t.live)) || !t.live[r] {
+		return 0, false
+	}
+	return uint32(r), true
 }
 
+// add appends the row for id, padding any skipped IDs with dead rows.
+// IDs must arrive in ascending order.
 func (t *acctTable) add(id AccountID, now time.Time) uint32 {
-	r := t.ids.Index(uint64(id))
-	if int(r) != len(t.live) {
+	r := int(id) - 1
+	if r < len(t.live) {
 		panic("socialgraph: account created twice")
 	}
-	t.live = append(t.live, true)
+	for len(t.live) <= r {
+		t.live = append(t.live, false)
+		t.created = append(t.created, time.Time{})
+		t.followers = append(t.followers, nil)
+		t.followees = append(t.followees, nil)
+		t.posts = append(t.posts, nil)
+		t.likes = append(t.likes, nil)
+		t.commented = append(t.commented, nil)
+	}
+	t.live[r] = true
 	t.nLive++
-	t.created = append(t.created, now)
-	t.followers = append(t.followers, nil)
-	t.followees = append(t.followees, nil)
-	t.posts = append(t.posts, nil)
-	t.likes = append(t.likes, nil)
-	t.commented = append(t.commented, nil)
-	return r
+	t.created[r] = now
+	return uint32(r)
 }
 
 // grow pre-sizes the table for n more rows.
 func (t *acctTable) grow(n int) {
-	t.ids.Grow(n)
 	t.live = slices.Grow(t.live, n)
 	t.created = slices.Grow(t.created, n)
 	t.followers = slices.Grow(t.followers, n)
@@ -129,7 +137,6 @@ func (t *acctTable) tombstone(r uint32) {
 }
 
 func (t *acctTable) reset() {
-	t.ids.Restore(nil)
 	t.live = t.live[:0]
 	t.nLive = 0
 	t.created = t.created[:0]
@@ -161,9 +168,8 @@ func (t *acctTable) bumpCommented(r uint32, pid uint32, delta int32) {
 	t.commented[r] = cs
 }
 
-// postTable is one stripe's post rows.
+// postTable holds the post rows; row r is PostID r+1.
 type postTable struct {
-	ids  intern.Dense // PostID ↔ row
 	live []bool
 
 	authors  []uint32
@@ -173,21 +179,31 @@ type postTable struct {
 }
 
 func (t *postTable) row(pid PostID) (uint32, bool) {
-	r, ok := t.ids.Lookup(uint64(pid))
-	return r, ok && t.live[r]
+	r := uint64(pid) - 1
+	if r >= uint64(len(t.live)) || !t.live[r] {
+		return 0, false
+	}
+	return uint32(r), true
 }
 
+// add appends the row for pid, padding any skipped IDs with dead rows.
+// IDs must arrive in ascending order.
 func (t *postTable) add(pid PostID, author AccountID, now time.Time) uint32 {
-	r := t.ids.Index(uint64(pid))
-	if int(r) != len(t.live) {
+	r := int(pid) - 1
+	if r < len(t.live) {
 		panic("socialgraph: post created twice")
 	}
-	t.live = append(t.live, true)
-	t.authors = append(t.authors, u32(uint64(author)))
-	t.created = append(t.created, now)
-	t.likes = append(t.likes, nil)
-	t.comments = append(t.comments, nil)
-	return r
+	for len(t.live) <= r {
+		t.live = append(t.live, false)
+		t.authors = append(t.authors, 0)
+		t.created = append(t.created, time.Time{})
+		t.likes = append(t.likes, nil)
+		t.comments = append(t.comments, nil)
+	}
+	t.live[r] = true
+	t.authors[r] = u32(uint64(author))
+	t.created[r] = now
+	return uint32(r)
 }
 
 func (t *postTable) tombstone(r uint32) {
@@ -198,7 +214,6 @@ func (t *postTable) tombstone(r uint32) {
 }
 
 func (t *postTable) reset() {
-	t.ids.Restore(nil)
 	t.live = t.live[:0]
 	t.authors = t.authors[:0]
 	t.created = t.created[:0]

@@ -20,6 +20,7 @@ package step
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"footsteps/internal/telemetry"
@@ -35,6 +36,29 @@ type Pool struct {
 	workers int
 	tracer  *telemetry.TickTracer
 	trace   *trace.Tracer
+	guard   Guard
+}
+
+// Guard asserts the single-writer rule: it is set while RunInto's plan
+// phase runs, and every mutating entry point of the state it guards
+// (platform, social graph) calls Check, which panics if the phase is on.
+// One Guard belongs to one pool — one world — so parallel tests running
+// many worlds never see each other's phases. A nil Guard checks nothing.
+type Guard struct{ planning atomic.Bool }
+
+// Check panics, naming op, when called during a plan phase.
+func (g *Guard) Check(op string) {
+	if g != nil && g.planning.Load() {
+		panic("step: " + op + " mutates shared state during a plan phase")
+	}
+}
+
+// Guard returns the pool's plan-phase guard (nil for a nil pool).
+func (p *Pool) Guard() *Guard {
+	if p == nil {
+		return nil
+	}
+	return &p.guard
 }
 
 // NewPool returns a pool running shard generation on up to workers
@@ -141,7 +165,8 @@ func Run[T any](p *Pool, n int, gen func(shard int, emit func(T)), apply func(T)
 // After every shard has generated — a full barrier, so generation always
 // observes the pre-tick state — apply is invoked serially on the calling
 // goroutine for every intent, ordered by (shardID, emission seq). apply
-// is where shared state may mutate.
+// is where shared state may mutate; the pool's Guard makes a mutation
+// from gen panic instead of racing.
 //
 // b, when non-nil, provides the per-shard intent buffers and keeps their
 // capacity for the caller's next tick; nil allocates fresh buffers.
@@ -203,28 +228,7 @@ func RunInto[T any](p *Pool, b *Buffers[T], n int, gen func(shard int, emit func
 		}
 		sec.ShardDone(i, d, len(bufs[i]))
 	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			runShard(i)
-		}
-	} else {
-		var wg sync.WaitGroup
-		shards := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range shards {
-					runShard(i)
-				}
-			}()
-		}
-		for i := 0; i < n; i++ {
-			shards <- i
-		}
-		close(shards)
-		wg.Wait()
-	}
+	p.plan(workers, n, runShard)
 	var applyStart time.Time
 	if tr.Enabled() || sec != nil {
 		applyStart = time.Now()
@@ -243,6 +247,37 @@ func RunInto[T any](p *Pool, b *Buffers[T], n int, gen func(shard int, emit func
 		}
 		sec.End(applyDur, applied)
 	}
+}
+
+// plan runs every shard's generation on up to workers goroutines with
+// the pool's guard set, and returns at the barrier.
+func (p *Pool) plan(workers, n int, runShard func(int)) {
+	if g := p.Guard(); g != nil {
+		g.planning.Store(true)
+		defer g.planning.Store(false) // also on a panic out of an inline gen
+	}
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			runShard(i)
+		}
+		return
+	}
+	var wg sync.WaitGroup
+	shards := make(chan int)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range shards {
+				runShard(i)
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		shards <- i
+	}
+	close(shards)
+	wg.Wait()
 }
 
 // Chunks partitions count items into shards of at most chunk items and

@@ -180,7 +180,7 @@ type StageRec struct {
 // measurements and vary run to run.
 type Span struct {
 	Tick   int64  // simulated instant, UnixNano
-	Shard  uint32 // owning shard index (platform stripe or plan shard)
+	Shard  uint32 // owning plan shard index; 0 for request spans
 	Seq    uint32 // per-tick sequence number, serially allocated
 	Parent uint64 // parent span ID; 0 = root
 	Kind   Kind

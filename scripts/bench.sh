@@ -1,15 +1,12 @@
 #!/bin/sh
 # Runs the parallel-stepping benchmarks — faults-off, the mixed
-# fault-injection scenario, the shards × workers grid, the allocation
-# benchmark, and the snapshot/restore pair — with -benchmem, and
+# fault-injection scenario, the allocation benchmark, and the snapshot/restore pair — with -benchmem, and
 # converts the result lines into BENCH_PR9.json, a machine-readable
 # record of tick/event throughput and memory cost per configuration
 # (ticks/op, events/op,
 # ns/tick, events/sec, B/op, allocs/op). Comparing the ns/tick of
 # ParallelStep vs ParallelStepFaults bounds the injector overhead; the
-# ShardedStep grid (shards 1/4/16 at workers 1/4/8) isolates
-# lock-striping gains, with shards=1 reproducing the old
-# single-global-lock layout; the AllocStep pooled/unpooled pair measures
+# AllocStep pooled/unpooled pair measures
 # what the tick-scratch pools save (see docs/PERFORMANCE.md); the
 # Snapshot pair records FSNAP1 checkpoint cost — encode wall time and
 # snapshot bytes on the 10-day world, plus the end-to-end restore time a
@@ -22,9 +19,8 @@
 # and fsync-every-batch — the batched default must stay within 15%
 # ns/tick of off, with the daily checkpoint priced separately as
 # ckpt-ns (see docs/PERSISTENCE.md). Every
-# point in the grid produces identical ticks/op and events/op — shard,
-# worker, and pooling knobs are concurrency/memory knobs, never
-# semantics.
+# point in the grid produces identical ticks/op and events/op — worker
+# and pooling knobs are concurrency/memory knobs, never semantics.
 #
 # The final "ServeLoadgen" record is the network front end's arm: a
 # quick world hosted by `footsteps serve`, an unthrottled NDJSON
@@ -46,11 +42,11 @@ set -eu
 out="${1:-BENCH_PR10.json}"
 cd "$(dirname "$0")/.."
 
-raw="$(go test -run '^$' -bench 'Benchmark(ParallelStep(Faults)?|ShardedStep|AllocStep|Snapshot|TraceStep|DurableStep)$' -benchtime "${BENCHTIME:-1x}" -benchmem .)"
+raw="$(go test -run '^$' -bench 'Benchmark(ParallelStep(Faults)?|AllocStep|Snapshot|TraceStep|DurableStep)$' -benchtime "${BENCHTIME:-1x}" -benchmem .)"
 printf '%s\n' "$raw" >&2
 
 recs="$(printf '%s\n' "$raw" | awk '
-/^Benchmark(ParallelStep(Faults)?|ShardedStep|AllocStep|Snapshot|TraceStep|DurableStep)\// {
+/^Benchmark(ParallelStep(Faults)?|AllocStep|Snapshot|TraceStep|DurableStep)\// {
     name = $1
     sub(/^Benchmark/, "", name)
     sub(/-[0-9]+$/, "", name)
