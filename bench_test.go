@@ -705,52 +705,6 @@ func BenchmarkAblationAPI(b *testing.B) {
 	})
 }
 
-// BenchmarkAllocStep is the allocation-focused twin of
-// BenchmarkParallelStep: the same 10-day tick loop, run with -benchmem
-// semantics (ReportAllocs), once with the scratch pools on (the default)
-// and once with them disabled. The pooled/unpooled delta is the measured
-// value of the zero-allocation work — scripts/bench.sh records both arms
-// in BENCH_PR5.json, and the alloc-budget tests pin the per-function
-// pieces this aggregate is made of.
-func BenchmarkAllocStep(b *testing.B) {
-	for _, pooled := range []bool{true, false} {
-		name := "pooled"
-		if !pooled {
-			name = "unpooled"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			totalTicks, totalEvents := 0, 0
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				cfg := footsteps.TestConfig()
-				cfg.Days = 10
-				cfg.Workers = 1
-				cfg.DisableScratchReuse = !pooled
-				w := core.NewWorld(cfg)
-				w.RunAll()
-				deadline := w.Plat.Now().Add(time.Duration(cfg.Days) * clock.Day)
-				events := 0
-				w.Plat.Log().Subscribe(func(platform.Event) { events++ })
-				b.StartTimer()
-				for {
-					at, ran := w.Sched.StepTick()
-					if ran == 0 || at.After(deadline) {
-						break
-					}
-					totalTicks++
-				}
-				totalEvents += events
-			}
-			b.ReportMetric(float64(totalTicks)/float64(b.N), "ticks/op")
-			b.ReportMetric(float64(totalEvents)/float64(b.N), "events/op")
-			if totalTicks > 0 {
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(totalTicks), "ns/tick")
-			}
-		})
-	}
-}
-
 // BenchmarkScaleWorld is the BENCH_SCALE arm: a million-account,
 // 90-day world — the paper's full population at its full measurement
 // window — exercising the struct-of-arrays account tables, compact

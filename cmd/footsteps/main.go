@@ -25,7 +25,8 @@
 //	-seed N          RNG seed (default 1)
 //	-scale F         customer-dynamics scale vs the paper (default 1/500)
 //	-days N          measurement window in days (default 90)
-//	-quick           small, fast configuration (for smoke runs)
+//	-quick           small, fast configuration (for smoke runs); an explicit
+//	                 -scale or -days still applies
 //	-faults P        fault profile: built-in scenario name or JSON path
 //	-metrics FILE    write per-day telemetry JSONL next to the report
 //	-debug-addr H:P  serve live expvar snapshots and pprof while running
@@ -196,16 +197,73 @@ func runFaults(cfg footsteps.Config) error {
 	return nil
 }
 
+// cfgFlags are the flags that shape the world's Config.
+type cfgFlags struct {
+	seed            *uint64
+	scale           *float64
+	days            *int
+	quick           *bool
+	workers         *int
+	checkpointDir   *string
+	checkpointEvery *int
+	serveAddr       *string
+	servePace       *float64
+	serveQueue      *int
+	serveBatch      *int
+	ingressLog      *string
+}
+
+// defineCfgFlags defines the Config-shaping flags on fs.
+func defineCfgFlags(fs *flag.FlagSet) *cfgFlags {
+	return &cfgFlags{
+		seed:            fs.Uint64("seed", 1, "RNG seed"),
+		scale:           fs.Float64("scale", 1.0/500, "customer-dynamics scale vs the paper"),
+		days:            fs.Int("days", 90, "measurement window in days"),
+		quick:           fs.Bool("quick", false, "small fast configuration (-scale and -days still apply when set)"),
+		workers:         fs.Int("workers", 0, "worker pool size for parallel stepping (0 = sequential; same output either way)"),
+		checkpointDir:   fs.String("checkpoint-dir", "", "write FSNAP1 world checkpoints into this directory (record only)"),
+		checkpointEvery: fs.Int("checkpoint-every", 0, "checkpoint cadence in days, 0 = off (record only)"),
+		serveAddr:       fs.String("serve-addr", "127.0.0.1:8343", "listen address for the serve command"),
+		servePace:       fs.Float64("serve-pace", 0, "sim-seconds per wall-second while serving (0 = default 60)"),
+		serveQueue:      fs.Int("serve-queue", 0, "ingress queue depth before requests shed as overloaded (0 = default)"),
+		serveBatch:      fs.Int("serve-batch", 0, "max envelopes applied per world-loop drain (0 = default)"),
+		ingressLog:      fs.String("ingress-log", "", "FING1 ingress log: written by serve, re-driven by replay"),
+	}
+}
+
+// config assembles the world Config from f, whose flags fs has parsed.
+// -quick starts from TestConfig's small world, and its Scale and Days
+// stand unless the user set -scale or -days.
+func (f *cfgFlags) config(fs *flag.FlagSet) footsteps.Config {
+	set := map[string]bool{}
+	fs.Visit(func(fl *flag.Flag) { set[fl.Name] = true })
+	cfg := footsteps.DefaultConfig()
+	if *f.quick {
+		cfg = footsteps.TestConfig()
+	}
+	cfg.Seed = *f.seed
+	if !*f.quick || set["scale"] {
+		cfg.Scale = *f.scale
+	}
+	if !*f.quick || set["days"] {
+		cfg.Days = *f.days
+	}
+	cfg.Workers = *f.workers
+	cfg.CheckpointDir = *f.checkpointDir
+	cfg.CheckpointEvery = *f.checkpointEvery
+	cfg.ServeAddr = *f.serveAddr
+	cfg.ServePace = *f.servePace
+	cfg.ServeQueueDepth = *f.serveQueue
+	cfg.ServeMaxBatch = *f.serveBatch
+	cfg.ServeIngressLog = *f.ingressLog
+	return cfg
+}
+
 func main() {
-	seed := flag.Uint64("seed", 1, "RNG seed")
-	scale := flag.Float64("scale", 1.0/500, "customer-dynamics scale vs the paper")
-	days := flag.Int("days", 90, "measurement window in days")
-	quick := flag.Bool("quick", false, "small fast configuration")
-	workers := flag.Int("workers", 0, "worker pool size for parallel stepping (0 = sequential; same output either way)")
+	cf := defineCfgFlags(flag.CommandLine)
+	seed, quick, ingressLog := cf.seed, cf.quick, cf.ingressLog
 	outDir := flag.String("o", "", "directory for machine-readable TSV exports (optional)")
 	record := flag.String("record", "", "write the full event stream to this FSEV1 capture file (business, record, replay)")
-	checkpointDir := flag.String("checkpoint-dir", "", "write FSNAP1 world checkpoints into this directory (record only)")
-	checkpointEvery := flag.Int("checkpoint-every", 0, "checkpoint cadence in days, 0 = off (record only)")
 	fromSnap := flag.String("from", "", "FSNAP1 checkpoint to restore before replaying (replay only)")
 	durableDir := flag.String("durable", "", "durable log directory: checksummed segments + atomic checkpoints (run only)")
 	resumeFlag := flag.Bool("resume", false, "recover the -durable log after a crash and finish the run (run only)")
@@ -221,11 +279,6 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	faultsFlag := flag.String("faults", "",
 		"fault profile: built-in scenario ("+strings.Join(faults.Scenarios(), ", ")+") or a JSON profile path")
-	serveAddr := flag.String("serve-addr", "127.0.0.1:8343", "listen address for the serve command")
-	servePace := flag.Float64("serve-pace", 0, "sim-seconds per wall-second while serving (0 = default 60)")
-	serveQueue := flag.Int("serve-queue", 0, "ingress queue depth before requests shed as overloaded (0 = default)")
-	serveBatch := flag.Int("serve-batch", 0, "max envelopes applied per world-loop drain (0 = default)")
-	ingressLog := flag.String("ingress-log", "", "FING1 ingress log: written by serve, re-driven by replay")
 	lgTarget := flag.String("target", "http://127.0.0.1:8343", "serve instance base URL (loadgen only)")
 	lgRPS := flag.Float64("rps", 0, "target request rate, 0 = unthrottled (loadgen only)")
 	lgDuration := flag.Duration("duration", 5*time.Second, "traffic duration (loadgen only)")
@@ -323,28 +376,10 @@ func main() {
 	}
 
 	mkCfg := func() footsteps.Config {
-		cfg := footsteps.DefaultConfig()
-		if *quick {
-			cfg = footsteps.TestConfig()
-		}
-		cfg.Seed = *seed
-		cfg.Scale = *scale
-		cfg.Days = *days
-		cfg.Workers = *workers
+		cfg := cf.config(flag.CommandLine)
 		cfg.Telemetry = telReg
 		cfg.Trace = traceTracer
 		cfg.Faults = faultProfile
-		cfg.CheckpointDir = *checkpointDir
-		cfg.CheckpointEvery = *checkpointEvery
-		cfg.ServeAddr = *serveAddr
-		cfg.ServePace = *servePace
-		cfg.ServeQueueDepth = *serveQueue
-		cfg.ServeMaxBatch = *serveBatch
-		cfg.ServeIngressLog = *ingressLog
-		if *quick {
-			cfg.Scale = footsteps.TestConfig().Scale
-			cfg.Days = footsteps.TestConfig().Days
-		}
 		return cfg
 	}
 

@@ -82,13 +82,11 @@ var (
 	WithIPDailyBudget = core.WithIPDailyBudget
 )
 
-// Execution: how the deterministic timeline is driven. Neither option
-// changes any output, only speed.
+// Execution: how the deterministic timeline is driven. The option
+// changes no output, only speed.
 var (
 	// WithWorkers sets the worker-pool size for parallel stepping.
 	WithWorkers = core.WithWorkers
-	// WithScratchReuse toggles per-worker scratch reuse.
-	WithScratchReuse = core.WithScratchReuse
 )
 
 // Observation: pure observers of the run (metrics, traces, faults).

@@ -267,16 +267,14 @@ type base struct {
 
 	// Per-tick reusable scratch (see docs/PERFORMANCE.md): the customer
 	// filter slice every tick rebuilds, plus chunk/intent buffers per
-	// intent type. Reuse is a pure memory optimization — buffers are
-	// truncated to zero length before refill, so no tick ever observes a
-	// previous tick's contents; the simtest pooling property test diffs
-	// reuse-on vs reuse-off streams to pin that. noReuse (via
-	// SetScratchReuse(false)) restores fresh per-tick allocations.
+	// intent type. Each tick truncates a buffer to zero length before
+	// refilling it, so no tick observes a previous tick's contents. A
+	// caller filters into custScratch[:0] and stores the result back,
+	// so the grown capacity survives to the next tick.
 	custScratch []*Customer
 	planScratch tickScratch[plannedOp]
 	lifeScratch tickScratch[lifeOp]
 	freeScratch tickScratch[freeReq]
-	noReuse     bool
 
 	// GroundTruth tallies for validating platform-side estimates.
 	Revenue       float64
@@ -348,54 +346,6 @@ func (b *base) SetAPI(kind platform.APIKind) { b.api = kind }
 // SetStepPool installs the worker pool used for parallel intent
 // generation during ticks. A nil pool (the default) plans inline.
 func (b *base) SetStepPool(p *step.Pool) { b.steps = p }
-
-// SetScratchReuse toggles cross-tick reuse of the engine's planning
-// scratch (filter slices, chunk bounds, intent buffers). Reuse is on by
-// default and never changes the event stream; turning it off exists for
-// the simtest pooling property test and for bisecting suspected scratch
-// leaks.
-func (b *base) SetScratchReuse(on bool) { b.noReuse = !on }
-
-// filterCustomers returns a zero-length customer slice to filter into,
-// reusing the engine's scratch capacity unless reuse is disabled. The
-// caller must pass the appended result to keepFilter so the grown
-// capacity survives to the next tick.
-func (b *base) filterCustomers() []*Customer {
-	if b.noReuse {
-		return nil
-	}
-	return b.custScratch[:0]
-}
-
-// keepFilter stores a filterCustomers slice back for the next tick.
-func (b *base) keepFilter(s []*Customer) {
-	if !b.noReuse {
-		b.custScratch = s
-	}
-}
-
-// Scratch selectors: each returns the engine's reusable tick scratch for
-// one intent type, or nil (fresh allocations) when reuse is disabled.
-func (b *base) planSC() *tickScratch[plannedOp] {
-	if b.noReuse {
-		return nil
-	}
-	return &b.planScratch
-}
-
-func (b *base) lifeSC() *tickScratch[lifeOp] {
-	if b.noReuse {
-		return nil
-	}
-	return &b.lifeScratch
-}
-
-func (b *base) freeSC() *tickScratch[freeReq] {
-	if b.noReuse {
-		return nil
-	}
-	return &b.freeScratch
-}
 
 // WireTelemetry registers per-service attempt/success counters on reg,
 // named aas.<service>.attempts / aas.<service>.successes. Telemetry is a

@@ -35,9 +35,7 @@ const shardChunk = 16
 // type: the chunk bounds and the per-shard intent buffers runSharded
 // fills every tick. A service holds one tickScratch per (tick, intent
 // type) pair and hands it back each tick, so steady-state planning
-// allocates nothing. The zero value is ready to use; a nil *tickScratch
-// restores fresh per-tick allocations (the reuse-off arm of the simtest
-// pooling property test).
+// allocates nothing. The zero value is ready to use.
 type tickScratch[T any] struct {
 	chunks [][2]int
 	bufs   step.Buffers[T]
@@ -50,19 +48,12 @@ type tickScratch[T any] struct {
 // forked stream; apply receives the emitted intents serially in
 // (shard, emission) order and is the only place shared state mutates.
 //
-// sc, when non-nil, supplies reused chunk/intent scratch; reuse is
-// invisible to plan and apply (see step.RunInto).
+// sc supplies the reused chunk/intent scratch; reuse is invisible to
+// plan and apply (see step.RunInto).
 func runSharded[T any](pool *step.Pool, sc *tickScratch[T], actors []*Customer, plan func(c *Customer, emit func(T)), apply func(T)) {
-	var bounds [][2]int
-	var bufs *step.Buffers[T]
-	if sc != nil {
-		sc.chunks = step.ChunksInto(sc.chunks, len(actors), shardChunk)
-		bounds = sc.chunks
-		bufs = &sc.bufs
-	} else {
-		bounds = step.Chunks(len(actors), shardChunk)
-	}
-	step.RunInto(pool, bufs, len(bounds), func(si int, emit func(T)) {
+	sc.chunks = step.ChunksInto(sc.chunks, len(actors), shardChunk)
+	bounds := sc.chunks
+	step.RunInto(pool, &sc.bufs, len(bounds), func(si int, emit func(T)) {
 		for _, c := range actors[bounds[si][0]:bounds[si][1]] {
 			plan(c, emit)
 		}

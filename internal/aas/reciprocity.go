@@ -57,14 +57,6 @@ func (s *ReciprocityService) SetTargetPool(ids []platform.AccountID) {
 	s.pool = append([]platform.AccountID(nil), ids...)
 }
 
-// SetAdaptTypes overrides which action types the block detector watches.
-func (s *ReciprocityService) SetAdaptTypes(types ...platform.ActionType) {
-	s.adaptTypes = make(map[platform.ActionType]bool)
-	for _, t := range types {
-		s.adaptTypes[t] = true
-	}
-}
-
 // EnrollTrial enrolls the credentials on the free trial, restricted to the
 // given offerings (nil = all). This is the honeypot registration path.
 func (s *ReciprocityService) EnrollTrial(username, password string, wants ...Offering) (*Customer, error) {
@@ -218,14 +210,14 @@ func (s *ReciprocityService) dailyTick(scale float64) {
 		s.spawnCustomer()
 	}
 
-	managed := s.filterCustomers()
+	managed := s.custScratch[:0]
 	for _, c := range s.customers {
 		if c.Managed && !c.Churned {
 			managed = append(managed, c)
 		}
 	}
-	s.keepFilter(managed)
-	runSharded(s.steps, s.lifeSC(), managed, func(c *Customer, emit func(lifeOp)) {
+	s.custScratch = managed
+	runSharded(s.steps, &s.lifeScratch, managed, func(c *Customer, emit func(lifeOp)) {
 		op := lifeOp{c: c}
 		// Long-term customers renew once the previous period lapses.
 		op.renew = c.LongTermIntent && now.After(c.EngagedUntil) && now.After(c.PaidThrough)
@@ -284,13 +276,13 @@ func (s *ReciprocityService) hourTick() {
 		return
 	}
 	now := s.plat.Now()
-	active := s.filterCustomers()
+	active := s.custScratch[:0]
 	for _, c := range s.customers {
 		if s.activeAt(c, now) {
 			active = append(active, c)
 		}
 	}
-	s.keepFilter(active)
+	s.custScratch = active
 	// The applier persists across ticks; resetting cur and the skip set
 	// makes each tick start from exactly the state a fresh applier has.
 	if s.applier.skip == nil {
@@ -298,7 +290,7 @@ func (s *ReciprocityService) hourTick() {
 	}
 	s.applier.cur = nil
 	clear(s.applier.skip)
-	runSharded(s.steps, s.planSC(), active, func(c *Customer, emit func(plannedOp)) {
+	runSharded(s.steps, &s.planScratch, active, func(c *Customer, emit func(plannedOp)) {
 		s.planCustomer(c, now, emit)
 	}, s.applier.apply)
 	if now.Hour() == 23 {

@@ -141,11 +141,9 @@ type Population struct {
 	steps *step.Pool
 
 	// Reusable daily-posting scratch (chunk bounds + per-shard intent
-	// buffers); see docs/PERFORMANCE.md. noReuse restores fresh per-day
-	// allocations for the simtest pooling property test.
+	// buffers); see docs/PERFORMANCE.md.
 	postChunks [][2]int
 	postBufs   step.Buffers[*member]
-	noReuse    bool
 
 	// Reacted counts reciprocal actions issued, by channel, for tests and
 	// diagnostics.
@@ -205,10 +203,6 @@ func New(model Model, plat *platform.Platform, sched *clock.Scheduler, r *rng.RN
 // SetStepPool installs the worker pool used for parallel planning of
 // daily posting. A nil pool (the default) plans inline.
 func (p *Population) SetStepPool(pool *step.Pool) { p.steps = pool }
-
-// SetScratchReuse toggles cross-day reuse of the posting scratch
-// buffers (on by default; reuse never changes the event stream).
-func (p *Population) SetScratchReuse(on bool) { p.noReuse = !on }
 
 // Reserve pre-sizes the member index for n more members, so a
 // population of known size is registered without rehashing the member
@@ -552,16 +546,9 @@ func (p *Population) StartPosting(label string, days int, dailyProb float64) {
 		// stream, sharded independently of worker count; the posts — which
 		// mutate the platform and may lazily log the member in — apply
 		// serially in shard order.
-		var bounds [][2]int
-		var bufs *step.Buffers[*member]
-		if p.noReuse {
-			bounds = step.Chunks(len(ids), 64)
-		} else {
-			p.postChunks = step.ChunksInto(p.postChunks, len(ids), 64)
-			bounds = p.postChunks
-			bufs = &p.postBufs
-		}
-		step.RunInto(p.steps, bufs, len(bounds), func(si int, emit func(*member)) {
+		p.postChunks = step.ChunksInto(p.postChunks, len(ids), 64)
+		bounds := p.postChunks
+		step.RunInto(p.steps, &p.postBufs, len(bounds), func(si int, emit func(*member)) {
 			for _, id := range ids[bounds[si][0]:bounds[si][1]] {
 				m := p.members[id]
 				if m != nil && m.rng.Bool(dailyProb) {

@@ -29,9 +29,6 @@ type Clock struct {
 // New returns a clock set to Epoch.
 func New() *Clock { return &Clock{now: Epoch} }
 
-// NewAt returns a clock set to the given instant.
-func NewAt(t time.Time) *Clock { return &Clock{now: t} }
-
 // Now returns the current simulated instant.
 func (c *Clock) Now() time.Time { return c.now }
 

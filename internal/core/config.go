@@ -74,15 +74,6 @@ type Config struct {
 	// (see docs/OBSERVABILITY.md). nil disables instrumentation.
 	Telemetry *telemetry.Registry
 
-	// DisableScratchReuse turns off cross-tick reuse of planning scratch
-	// (intent buffers, chunk bounds, customer filter slices) throughout
-	// the world, restoring fresh per-tick allocations. Reuse is a pure
-	// memory optimization — the event stream is byte-identical either
-	// way, pinned by the pooling property test in internal/simtest. The
-	// knob exists for that test and for bisecting suspected scratch
-	// leaks; leave it off (reuse on) otherwise.
-	DisableScratchReuse bool
-
 	// Faults, when non-nil, schedules deterministic infrastructure
 	// faults — transient unavailability, session-store flaps, ASN
 	// outages, rate-limit storms — injected by the platform on every
@@ -148,9 +139,8 @@ type Config struct {
 
 // Fingerprint hashes every semantic config field — the knobs that shape
 // the simulated timeline. Pure performance and observability knobs
-// (Workers, Telemetry, Trace, DisableScratchReuse, the checkpoint
-// settings) are excluded, so a snapshot taken at one worker count
-// restores at any other. Seed is also excluded: it travels in the
+// (Workers, Telemetry, Trace, the checkpoint settings) are excluded, so
+// a snapshot taken at one worker count restores at any other. Seed is also excluded: it travels in the
 // snapshot header as its own field with its own mismatch diagnostic.
 func (c Config) Fingerprint() uint64 {
 	h := fnv.New64a()

@@ -60,13 +60,6 @@ func WithVPNUsers(n int) Option { return func(c *Config) { c.VPNUsers = n } }
 // WithIPDailyBudget sets the per-IP daily action cap (0 disables).
 func WithIPDailyBudget(n int) Option { return func(c *Config) { c.IPDailyBudget = n } }
 
-// WithScratchReuse toggles cross-tick reuse of planning scratch buffers
-// (on by default; reuse never changes the event stream — see
-// docs/PERFORMANCE.md).
-func WithScratchReuse(on bool) Option {
-	return func(c *Config) { c.DisableScratchReuse = !on }
-}
-
 // WithTelemetry attaches a telemetry registry (nil disables).
 func WithTelemetry(reg *telemetry.Registry) Option {
 	return func(c *Config) { c.Telemetry = reg }

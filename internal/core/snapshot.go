@@ -190,16 +190,6 @@ func checkCounters(st *persistence.WorldState) error {
 	return nil
 }
 
-// RestoreFile is RestoreWorld over a checkpoint file on disk.
-func RestoreFile(cfg Config, path string) (*World, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return RestoreWorld(cfg, f)
-}
-
 // RunDays advances the world n simulated days, one day per RunFor call
 // (chunked runs replay the same timeline as one long run), writing a
 // checkpoint after every CheckpointEvery completed days when a

@@ -161,7 +161,6 @@ func NewWorld(cfg Config) *World {
 
 	w.Pop = behavior.New(behavior.DefaultModel(), plat, sched, root.Split("population"))
 	w.Pop.SetStepPool(w.Steps)
-	w.Pop.SetScratchReuse(!cfg.DisableScratchReuse)
 	w.Pop.Reserve(cfg.OrganicPopulation + curatedPools()*cfg.PoolSize)
 	w.Pop.AddMembers(cfg.OrganicPopulation)
 
@@ -185,7 +184,6 @@ func NewWorld(cfg Config) *World {
 		case aas.TechniqueReciprocity:
 			svc := aas.NewReciprocityService(spec, plat, sched, root.Split("svc-"+spec.Name))
 			svc.SetStepPool(w.Steps)
-			svc.SetScratchReuse(!cfg.DisableScratchReuse)
 			svc.WireTelemetry(cfg.Telemetry)
 			svc.WireTrace(cfg.Trace)
 			pool := w.Pop.AddCuratedPool(spec.Name, spec.TargetPool, cfg.PoolSize)
@@ -198,7 +196,6 @@ func NewWorld(cfg Config) *World {
 			}
 			svc := aas.NewCollusionService(spec, plat, sched, root.Split("svc-"+spec.Name), ipPool)
 			svc.SetStepPool(w.Steps)
-			svc.SetScratchReuse(!cfg.DisableScratchReuse)
 			svc.WireTelemetry(cfg.Telemetry)
 			svc.WireTrace(cfg.Trace)
 			w.Coll[spec.Name] = svc
@@ -300,11 +297,7 @@ func (w *World) setupVPNUsers() {
 	// buffers persist in the closure and are reused day over day.
 	var vpnBufs step.Buffers[vpnOp]
 	w.Sched.EveryDay(11*time.Hour, w.Cfg.Days+7, func(int) {
-		bufs := &vpnBufs
-		if w.Cfg.DisableScratchReuse {
-			bufs = nil
-		}
-		step.RunInto(w.Steps, bufs, len(w.vpnSessions), func(i int, emit func(vpnOp)) {
+		step.RunInto(w.Steps, &vpnBufs, len(w.vpnSessions), func(i int, emit func(vpnOp)) {
 			ur := w.vpnRNGs[i]
 			n := 2 + ur.Intn(25)
 			for k := 0; k < n; k++ {

@@ -39,7 +39,7 @@ func allocWorld(t *testing.T) (w *testWorld, alice AccountID, sa, sb *Session, p
 // TestAllocBudgetDo pins the per-operation allocation count of the
 // Platform.Do steady-state paths. A failure names the function that
 // regressed; before raising a budget, profile the path (go test
-// -bench BenchmarkAllocStep -benchmem plus -memprofile) and record the
+// -bench BenchmarkParallelStep -benchmem plus -memprofile) and record the
 // reason in docs/PERFORMANCE.md.
 func TestAllocBudgetDo(t *testing.T) {
 	t.Run("duplicate-like", func(t *testing.T) {

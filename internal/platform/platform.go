@@ -427,15 +427,6 @@ func (p *Platform) Username(id AccountID) (string, bool) {
 	return p.tab.usernames[r], true
 }
 
-// CreatedAt returns the account's registration time.
-func (p *Platform) CreatedAt(id AccountID) (time.Time, bool) {
-	r, ok := p.tab.row(id)
-	if !ok {
-		return time.Time{}, false
-	}
-	return p.tab.created[r], true
-}
-
 // MostFrequentLoginCountry implements the paper's customer-location rule:
 // "the most frequent country used to login to the account" (§5.1). The
 // second result is false when the account has never logged in. The tally

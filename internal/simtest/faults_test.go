@@ -52,6 +52,27 @@ func TestFaultsOffGoldenStream(t *testing.T) {
 	}
 }
 
+// TestFaultedGoldenStream pins the stream of the mixed fault scenario
+// the same way. Retries re-enter the resilience layer with stored
+// Request values built by the planning buffers, so a buffer that leaks
+// state from one tick into the next moves these bytes even where the
+// faults-off stream stays put. Regenerate as for the faults-off golden,
+// and only for a change meant to move faulted bytes.
+func TestFaultedGoldenStream(t *testing.T) {
+	t.Parallel()
+	const (
+		wantHash = "8cb8043d19e72de2ff66ff819c914a0e2b7748320a007433de7a2d93c6d9f4bc"
+		wantLen  = 650654
+	)
+	got := Capture(faultedConfig(1, 0))
+	sum := sha256.Sum256(got)
+	gotHash := hex.EncodeToString(sum[:])
+	if len(got) != wantLen || gotHash != wantHash {
+		t.Fatalf("faulted stream moved:\n got  %s (len %d)\n want %s (len %d)",
+			gotHash, len(got), wantHash, wantLen)
+	}
+}
+
 // TestFaultedStreamDeterminism is the tentpole contract for injection:
 // with a fault profile active, the stream must still be byte-identical
 // across worker counts and across fresh runs — fault verdicts are pure

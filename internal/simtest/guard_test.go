@@ -72,7 +72,7 @@ func TestPhaseGuard(t *testing.T) {
 
 			planPanics := make([]any, len(mutators))
 			applied := 0
-			step.RunInto(w.Steps, nil, len(mutators), func(i int, emit func(int)) {
+			step.RunInto(w.Steps, &step.Buffers[int]{}, len(mutators), func(i int, emit func(int)) {
 				func() {
 					defer func() { planPanics[i] = recover() }()
 					mutators[i].call()

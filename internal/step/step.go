@@ -13,8 +13,8 @@
 // Because generation sees a frozen pre-tick snapshot and each actor draws
 // from its own stream, the merged intent sequence — and therefore the
 // post-merge event stream — is a pure function of the simulation seed.
-// Worker count changes wall-clock time, never bytes: Run with 1 worker
-// and Run with 8 workers produce identical applies in identical order.
+// Worker count changes wall-clock time, never bytes: RunInto with 1
+// worker and with 8 workers produce identical applies in identical order.
 // See docs/DETERMINISM.md.
 package step
 
@@ -80,9 +80,9 @@ func (p *Pool) Workers() int {
 
 // SetTracer installs a telemetry tick tracer on the pool. The tracer is
 // a pure observer — it records wall-clock phase durations and intent
-// counts into atomics and feeds nothing back into Run's control flow, so
-// tracing never changes the apply order or the event stream. A nil
-// tracer (the default) disables timing entirely.
+// counts into atomics and feeds nothing back into RunInto's control
+// flow, so tracing never changes the apply order or the event stream. A
+// nil tracer (the default) disables timing entirely.
 func (p *Pool) SetTracer(tr *telemetry.TickTracer) {
 	if p == nil {
 		return
@@ -101,7 +101,7 @@ func (p *Pool) Tracer() *telemetry.TickTracer {
 // SetTrace installs a span tracer on the pool: each RunInto section then
 // emits a section span with per-shard plan children (subject to the
 // tracer's sampler). Like the telemetry tracer it is a pure observer —
-// nothing it records feeds back into Run's control flow.
+// nothing it records feeds back into RunInto's control flow.
 func (p *Pool) SetTrace(tr *trace.Tracer) {
 	if p == nil {
 		return
@@ -123,13 +123,13 @@ func (p *Pool) Trace() *trace.Tracer {
 // slice capacity across ticks instead of reallocating it per tick. The
 // zero value is ready to use.
 //
-// A Buffers value must not be shared by concurrent Run calls. Between
-// ticks the shard slices are truncated, not zeroed: stale intent values
-// stay reachable (keeping what they point at alive) until overwritten,
-// but are never observable — RunInto resets every shard to length zero
-// before generation, so no intent from a previous tick can leak into
-// the apply sequence. The pooled-vs-fresh stream property test in
-// internal/simtest pins this.
+// A Buffers value must not be shared by concurrent RunInto calls.
+// Between ticks the shard slices are truncated, not zeroed: stale intent
+// values stay reachable (keeping what they point at alive) until
+// overwritten, but are never observable — RunInto resets every shard to
+// length zero before generation, so no intent from a previous tick can
+// leak into the apply sequence. The reuse property in step_test.go and
+// the golden streams in internal/simtest pin this.
 type Buffers[T any] struct {
 	bufs [][]T
 	// emits caches the per-shard emit closures so steady-state ticks do
@@ -148,12 +148,6 @@ func (b *Buffers[T]) emit(i int) func(T) {
 	return b.emits[i]
 }
 
-// Run executes one tick's intent/apply cycle over n shards with fresh
-// (per-call) intent buffers. Equivalent to RunInto with nil Buffers.
-func Run[T any](p *Pool, n int, gen func(shard int, emit func(T)), apply func(T)) {
-	RunInto(p, nil, n, gen, apply)
-}
-
 // RunInto executes one tick's intent/apply cycle over n shards.
 //
 // gen(shard, emit) is called once per shard in [0, n), concurrently on up
@@ -168,10 +162,10 @@ func Run[T any](p *Pool, n int, gen func(shard int, emit func(T)), apply func(T)
 // is where shared state may mutate; the pool's Guard makes a mutation
 // from gen panic instead of racing.
 //
-// b, when non-nil, provides the per-shard intent buffers and keeps their
-// capacity for the caller's next tick; nil allocates fresh buffers.
-// Buffer reuse is invisible to gen and apply — the apply sequence is
-// byte-for-byte the one a fresh allocation would produce.
+// b provides the per-shard intent buffers and keeps their capacity for
+// the caller's next tick; it must be non-nil. Buffer reuse is invisible
+// to gen and apply — the apply sequence is byte-for-byte the one a
+// fresh Buffers would produce.
 func RunInto[T any](p *Pool, b *Buffers[T], n int, gen func(shard int, emit func(T)), apply func(T)) {
 	if n <= 0 {
 		return
@@ -187,35 +181,24 @@ func RunInto[T any](p *Pool, b *Buffers[T], n int, gen func(shard int, emit func
 	// ShardDone writes only disjoint per-shard slots, so workers may call
 	// it concurrently; emission happens in sec.End, after the barrier.
 	sec := p.Trace().StartSection(n)
-	var bufs [][]T
-	var emits []func(T)
-	if b == nil {
-		bufs = make([][]T, n)
-	} else {
-		if cap(b.bufs) < n {
-			grown := make([][]T, n)
-			copy(grown, b.bufs)
-			b.bufs = grown
-		}
-		bufs = b.bufs[:n]
-		for i := range bufs {
-			bufs[i] = bufs[i][:0]
-		}
-		// Materialize any missing emit closures now, before workers
-		// start: b.emits is then read-only for the rest of the call.
-		b.emit(n - 1)
-		emits = b.emits
+	if cap(b.bufs) < n {
+		grown := make([][]T, n)
+		copy(grown, b.bufs)
+		b.bufs = grown
 	}
+	bufs := b.bufs[:n]
+	for i := range bufs {
+		bufs[i] = bufs[i][:0]
+	}
+	// Materialize any missing emit closures now, before workers start:
+	// b.emits is then read-only for the rest of the call.
+	b.emit(n - 1)
+	emits := b.emits
 	// runShard generates one shard, timing it when tracing is on. The
 	// timing wrapper is identical on the inline and pooled paths and
 	// only writes to telemetry atomics, so it cannot affect the bytes.
 	runShard := func(i int) {
-		var em func(T)
-		if emits != nil {
-			em = emits[i]
-		} else {
-			em = func(v T) { bufs[i] = append(bufs[i], v) }
-		}
+		em := emits[i]
 		if !tr.Enabled() && sec == nil {
 			gen(i, em)
 			return
@@ -280,25 +263,13 @@ func (p *Pool) plan(workers, n int, runShard func(int)) {
 	wg.Wait()
 }
 
-// Chunks partitions count items into shards of at most chunk items and
-// returns the shard bounds as (lo, hi) pairs flattened into a slice of
-// [2]int. It exists so callers sharding large actor sets can amortize
-// per-shard dispatch overhead while keeping the shard decomposition — and
-// hence the (shardID, seq) merge order — a pure function of count and
-// chunk, independent of worker count.
-func Chunks(count, chunk int) [][2]int {
-	if count <= 0 {
-		return nil
-	}
-	if chunk <= 0 {
-		chunk = 1
-	}
-	return ChunksInto(nil, count, chunk)
-}
-
-// ChunksInto is Chunks appending into dst (reusing its capacity), for
-// callers that recompute the same decomposition every tick. The bounds
-// depend only on (count, chunk), so reuse cannot change the merge order.
+// ChunksInto partitions count items into shards of at most chunk items
+// and returns the shard bounds as (lo, hi) pairs, overwriting dst and
+// reusing its capacity. It exists so callers sharding large actor sets
+// can amortize per-shard dispatch overhead while keeping the shard
+// decomposition — and hence the (shardID, seq) merge order — a pure
+// function of count and chunk, independent of worker count and of the
+// capacity dst carries over from an earlier tick.
 func ChunksInto(dst [][2]int, count, chunk int) [][2]int {
 	if count <= 0 {
 		return dst[:0]

@@ -2,6 +2,7 @@ package step
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -10,14 +11,14 @@ import (
 	"footsteps/internal/telemetry"
 )
 
-// collect runs one intent/apply cycle where each shard emits a
-// deterministic pseudo-random number of items drawn from a forked stream,
-// and returns the applied sequence.
-func collect(workers, shards int, seed uint64) []string {
+// collect runs one intent/apply cycle through b where each shard emits
+// a deterministic pseudo-random number of items drawn from a forked
+// stream, and returns the applied sequence.
+func collect(b *Buffers[string], workers, shards int, seed uint64) []string {
 	root := rng.New(seed)
 	pool := NewPool(workers)
 	var out []string
-	Run(pool, shards, func(shard int, emit func(string)) {
+	RunInto(pool, b, shards, func(shard int, emit func(string)) {
 		r := root.Fork(uint64(shard))
 		n := r.Intn(7)
 		for k := 0; k < n; k++ {
@@ -28,20 +29,35 @@ func collect(workers, shards int, seed uint64) []string {
 }
 
 // TestRunMergeOrderIndependentOfWorkers is the pool's core contract: any
-// worker count produces the identical apply sequence.
+// worker count produces the identical apply sequence, and so does any
+// history of the Buffers it runs through. One Buffers reused across
+// ticks whose shard count grows and shrinks must apply, on every tick,
+// exactly what a fresh Buffers applies — a shard slice that kept an
+// earlier tick's intents, or a stale emit closure, would show here.
 func TestRunMergeOrderIndependentOfWorkers(t *testing.T) {
 	t.Parallel()
-	check := func(seed uint64, shards uint8, workers uint8) bool {
+	check := func(seed uint64, shards uint8, workers uint8, ticks []uint8) bool {
 		n := int(shards%33) + 1
 		w := int(workers%16) + 2
-		want := collect(1, n, seed)
-		got := collect(w, n, seed)
-		if len(want) != len(got) {
+		want := collect(&Buffers[string]{}, 1, n, seed)
+		got := collect(&Buffers[string]{}, w, n, seed)
+		if !slices.Equal(want, got) {
 			return false
 		}
-		for i := range want {
-			if want[i] != got[i] {
-				return false
+		// Grow past n, shrink to one shard, return to n, then follow
+		// the generated shard counts.
+		counts := []int{n, 2*n + 1, 1, n}
+		for _, s := range ticks {
+			counts = append(counts, int(s%33)+1)
+		}
+		for _, workers := range []int{1, 4} {
+			var reused Buffers[string]
+			for k, m := range counts {
+				tickSeed := seed + uint64(k)
+				fresh := collect(&Buffers[string]{}, workers, m, tickSeed)
+				if !slices.Equal(fresh, collect(&reused, workers, m, tickSeed)) {
+					return false
+				}
 			}
 		}
 		return true
@@ -57,7 +73,7 @@ func TestRunBarrierBeforeApply(t *testing.T) {
 	t.Parallel()
 	var generated atomic.Int32
 	const shards = 50
-	Run(NewPool(8), shards, func(shard int, emit func(int)) {
+	RunInto(NewPool(8), &Buffers[int]{}, shards, func(shard int, emit func(int)) {
 		generated.Add(1)
 		emit(shard)
 	}, func(int) {
@@ -72,7 +88,7 @@ func TestRunAppliesSerially(t *testing.T) {
 	t.Parallel()
 	var inApply atomic.Int32
 	applied := 0
-	Run(NewPool(6), 40, func(shard int, emit func(int)) {
+	RunInto(NewPool(6), &Buffers[int]{}, 40, func(shard int, emit func(int)) {
 		for k := 0; k < 5; k++ {
 			emit(shard*10 + k)
 		}
@@ -93,7 +109,7 @@ func TestRunGenConcurrencyBounded(t *testing.T) {
 	t.Parallel()
 	const workers = 3
 	var inGen, peak atomic.Int32
-	Run(NewPool(workers), 64, func(shard int, emit func(struct{})) {
+	RunInto(NewPool(workers), &Buffers[struct{}]{}, 64, func(shard int, emit func(struct{})) {
 		n := inGen.Add(1)
 		for {
 			p := peak.Load()
@@ -116,7 +132,7 @@ func TestNilPoolRunsInline(t *testing.T) {
 		t.Fatalf("nil pool workers = %d", p.Workers())
 	}
 	got := 0
-	Run(p, 5, func(shard int, emit func(int)) { emit(shard) }, func(v int) { got += v })
+	RunInto(p, &Buffers[int]{}, 5, func(shard int, emit func(int)) { emit(shard) }, func(v int) { got += v })
 	if got != 0+1+2+3+4 {
 		t.Fatalf("nil pool applied sum %d", got)
 	}
@@ -129,7 +145,7 @@ func TestChunksCoverExactly(t *testing.T) {
 	check := func(count uint16, chunk uint8) bool {
 		n := int(count % 500)
 		c := int(chunk % 40)
-		bounds := Chunks(n, c)
+		bounds := ChunksInto(nil, n, c)
 		next := 0
 		for _, b := range bounds {
 			if b[0] != next || b[1] <= b[0] || b[1] > n {
@@ -154,7 +170,7 @@ func TestTracerObservesRun(t *testing.T) {
 		p := NewPool(workers)
 		p.SetTracer(telemetry.NewTickTracer(reg))
 		sum := 0
-		Run(p, 6, func(shard int, emit func(int)) {
+		RunInto(p, &Buffers[int]{}, 6, func(shard int, emit func(int)) {
 			emit(shard)
 			emit(shard * 10)
 		}, func(v int) { sum += v })

@@ -1,14 +1,13 @@
 #!/bin/sh
 # Runs the parallel-stepping benchmarks — faults-off, the mixed
-# fault-injection scenario, the allocation benchmark, and the snapshot/restore pair — with -benchmem, and
+# fault-injection scenario, and the snapshot/restore pair — with -benchmem, and
 # converts the result lines into BENCH_PR9.json, a machine-readable
 # record of tick/event throughput and memory cost per configuration
 # (ticks/op, events/op,
 # ns/tick, events/sec, B/op, allocs/op). Comparing the ns/tick of
-# ParallelStep vs ParallelStepFaults bounds the injector overhead; the
-# AllocStep pooled/unpooled pair measures
-# what the tick-scratch pools save (see docs/PERFORMANCE.md); the
-# Snapshot pair records FSNAP1 checkpoint cost — encode wall time and
+# ParallelStep vs ParallelStepFaults bounds the injector overhead, and
+# the workers=1 arm's B/op and allocs/op track the tick-scratch pools
+# (see docs/PERFORMANCE.md); the Snapshot pair records FSNAP1 checkpoint cost — encode wall time and
 # snapshot bytes on the 10-day world, plus the end-to-end restore time a
 # resumed run pays (see docs/PERSISTENCE.md); the TraceStep sweep
 # records FTRC1 span-tracing overhead at sample rates off, 1/1024,
@@ -19,8 +18,8 @@
 # and fsync-every-batch — the batched default must stay within 15%
 # ns/tick of off, with the daily checkpoint priced separately as
 # ckpt-ns (see docs/PERSISTENCE.md). Every
-# point in the grid produces identical ticks/op and events/op — worker
-# and pooling knobs are concurrency/memory knobs, never semantics.
+# point in the grid produces identical ticks/op and events/op — the
+# worker count is a concurrency knob, never semantics.
 #
 # The final "ServeLoadgen" record is the network front end's arm: a
 # quick world hosted by `footsteps serve`, an unthrottled NDJSON
@@ -42,11 +41,11 @@ set -eu
 out="${1:-BENCH_PR10.json}"
 cd "$(dirname "$0")/.."
 
-raw="$(go test -run '^$' -bench 'Benchmark(ParallelStep(Faults)?|AllocStep|Snapshot|TraceStep|DurableStep)$' -benchtime "${BENCHTIME:-1x}" -benchmem .)"
+raw="$(go test -run '^$' -bench 'Benchmark(ParallelStep(Faults)?|Snapshot|TraceStep|DurableStep)$' -benchtime "${BENCHTIME:-1x}" -benchmem .)"
 printf '%s\n' "$raw" >&2
 
 recs="$(printf '%s\n' "$raw" | awk '
-/^Benchmark(ParallelStep(Faults)?|AllocStep|Snapshot|TraceStep|DurableStep)\// {
+/^Benchmark(ParallelStep(Faults)?|Snapshot|TraceStep|DurableStep)\// {
     name = $1
     sub(/^Benchmark/, "", name)
     sub(/-[0-9]+$/, "", name)
