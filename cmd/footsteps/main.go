@@ -188,8 +188,8 @@ func runFaults(cfg footsteps.Config) error {
 	}
 	w := core.NewWorld(cfg)
 	telemetryAttach(w)
-	fmt.Printf("Fault demo: profile %q over %d days (seed %d, workers %d)...\n",
-		cfg.Faults.Name, cfg.Days, cfg.Seed, cfg.Workers)
+	fmt.Printf("Fault demo: profile %q over %d days (seed %d)...\n",
+		cfg.Faults.Name, cfg.Days, cfg.Seed)
 	w.RunAll()
 	w.Sched.RunFor(time.Duration(cfg.Days) * clock.Day)
 	fmt.Println()
@@ -203,7 +203,6 @@ type cfgFlags struct {
 	scale           *float64
 	days            *int
 	quick           *bool
-	workers         *int
 	checkpointDir   *string
 	checkpointEvery *int
 	serveAddr       *string
@@ -220,7 +219,6 @@ func defineCfgFlags(fs *flag.FlagSet) *cfgFlags {
 		scale:           fs.Float64("scale", 1.0/500, "customer-dynamics scale vs the paper"),
 		days:            fs.Int("days", 90, "measurement window in days"),
 		quick:           fs.Bool("quick", false, "small fast configuration (-scale and -days still apply when set)"),
-		workers:         fs.Int("workers", 0, "worker pool size for parallel stepping (0 = sequential; same output either way)"),
 		checkpointDir:   fs.String("checkpoint-dir", "", "write FSNAP1 world checkpoints into this directory (record only)"),
 		checkpointEvery: fs.Int("checkpoint-every", 0, "checkpoint cadence in days, 0 = off (record only)"),
 		serveAddr:       fs.String("serve-addr", "127.0.0.1:8343", "listen address for the serve command"),
@@ -231,10 +229,10 @@ func defineCfgFlags(fs *flag.FlagSet) *cfgFlags {
 	}
 }
 
-// config assembles the world Config from f, whose flags fs has parsed.
-// -quick starts from TestConfig's small world, and its Scale and Days
-// stand unless the user set -scale or -days.
-func (f *cfgFlags) config(fs *flag.FlagSet) footsteps.Config {
+// config assembles the world Config from f, whose flags fs has parsed,
+// and validates it. -quick starts from TestConfig's small world, and its
+// Scale and Days stand unless the user set -scale or -days.
+func (f *cfgFlags) config(fs *flag.FlagSet) (footsteps.Config, error) {
 	set := map[string]bool{}
 	fs.Visit(func(fl *flag.Flag) { set[fl.Name] = true })
 	cfg := footsteps.DefaultConfig()
@@ -248,7 +246,6 @@ func (f *cfgFlags) config(fs *flag.FlagSet) footsteps.Config {
 	if !*f.quick || set["days"] {
 		cfg.Days = *f.days
 	}
-	cfg.Workers = *f.workers
 	cfg.CheckpointDir = *f.checkpointDir
 	cfg.CheckpointEvery = *f.checkpointEvery
 	cfg.ServeAddr = *f.serveAddr
@@ -256,7 +253,7 @@ func (f *cfgFlags) config(fs *flag.FlagSet) footsteps.Config {
 	cfg.ServeQueueDepth = *f.serveQueue
 	cfg.ServeMaxBatch = *f.serveBatch
 	cfg.ServeIngressLog = *f.ingressLog
-	return cfg
+	return cfg, cfg.Validate()
 }
 
 func main() {
@@ -300,6 +297,13 @@ func main() {
 
 	if flag.NArg() != 1 {
 		usage()
+		os.Exit(2)
+	}
+	// A bad config is a usage error: reject it before any command opens
+	// files or builds a world.
+	baseCfg, err := cf.config(flag.CommandLine)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "footsteps: invalid config:", err)
 		os.Exit(2)
 	}
 
@@ -376,7 +380,7 @@ func main() {
 	}
 
 	mkCfg := func() footsteps.Config {
-		cfg := cf.config(flag.CommandLine)
+		cfg := baseCfg
 		cfg.Telemetry = telReg
 		cfg.Trace = traceTracer
 		cfg.Faults = faultProfile
@@ -384,7 +388,6 @@ func main() {
 	}
 
 	cmd := flag.Arg(0)
-	var err error
 	switch cmd {
 	case "catalog":
 		err = runCatalog()

@@ -3,14 +3,15 @@ package main
 import (
 	"flag"
 	"io"
+	"strings"
 	"testing"
 
 	"footsteps"
 )
 
-// parseCfg parses args on a fresh flag set carrying the Config flags and
-// returns the assembled Config.
-func parseCfg(t *testing.T, args ...string) footsteps.Config {
+// assembleCfg parses args on a fresh flag set carrying the Config flags
+// and returns the assembled Config and its validation error.
+func assembleCfg(t *testing.T, args ...string) (footsteps.Config, error) {
 	t.Helper()
 	fs := flag.NewFlagSet("footsteps", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
@@ -19,6 +20,16 @@ func parseCfg(t *testing.T, args ...string) footsteps.Config {
 		t.Fatalf("parse %q: %v", args, err)
 	}
 	return cf.config(fs)
+}
+
+// parseCfg is assembleCfg for arguments that must give a valid Config.
+func parseCfg(t *testing.T, args ...string) footsteps.Config {
+	t.Helper()
+	cfg, err := assembleCfg(t, args...)
+	if err != nil {
+		t.Fatalf("%q: %v", args, err)
+	}
+	return cfg
 }
 
 // TestQuickKeepsExplicitDaysAndScale: -quick swaps in TestConfig's world
@@ -52,5 +63,28 @@ func TestQuickKeepsExplicitDaysAndScale(t *testing.T) {
 	}
 	if cfg := parseCfg(t, "-quick", "-seed", "7", "record"); cfg.Seed != 7 {
 		t.Fatalf("-seed 7 gave Seed %d", cfg.Seed)
+	}
+}
+
+// TestInvalidConfigRejected: flag values that would panic, hang or print
+// a meaningless report return an error from config assembly, before any
+// world exists (the CLI then exits 2).
+func TestInvalidConfigRejected(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"days=0", []string{"-quick", "-days", "0", "business"}, "days"},
+		{"scale=NaN", []string{"-quick", "-scale", "NaN", "business"}, "scale"},
+		{"scale=-1", []string{"-quick", "-scale", "-1", "business"}, "scale"},
+		{"scale=+Inf", []string{"-scale", "+Inf", "business"}, "scale"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := assembleCfg(t, tc.args...)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("%q: error %v, want one naming %q", tc.args, err, tc.want)
+			}
+		})
 	}
 }

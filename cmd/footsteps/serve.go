@@ -264,17 +264,6 @@ func runLoadgen(target string, rps float64, duration time.Duration, conns, batch
 			time.Duration(enq.Quantile(0.50)), time.Duration(enq.Quantile(0.95)), time.Duration(enq.Quantile(0.99)), enq.Count)
 	}
 
-	// One machine-readable line for scripts/bench.sh.
-	jsonLine, _ := json.Marshal(map[string]any{
-		"envelopes":      total,
-		"seconds":        elapsed.Seconds(),
-		"throughput_rps": throughput,
-		"p50_ns":         hr.Quantile(0.50),
-		"p95_ns":         hr.Quantile(0.95),
-		"p99_ns":         hr.Quantile(0.99),
-	})
-	fmt.Printf("loadgen-json: %s\n", jsonLine)
-
 	if total == 0 || errored.Load() == total {
 		return fmt.Errorf("loadgen: no traffic served (sent %d, errored %d)", total, errored.Load())
 	}

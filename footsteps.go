@@ -52,7 +52,7 @@ func TestConfig() Config { return core.TestConfig() }
 
 // New returns DefaultConfig with the options applied:
 //
-//	cfg := footsteps.New(footsteps.WithWorkers(8), footsteps.WithDays(30))
+//	cfg := footsteps.New(footsteps.WithSeed(8), footsteps.WithDays(30))
 func New(opts ...Option) Config { return core.New(opts...) }
 
 // NewTest returns TestConfig with the options applied.
@@ -80,13 +80,6 @@ var (
 	WithVPNUsers = core.WithVPNUsers
 	// WithIPDailyBudget caps per-IP daily actions before IP defenses fire.
 	WithIPDailyBudget = core.WithIPDailyBudget
-)
-
-// Execution: how the deterministic timeline is driven. The option
-// changes no output, only speed.
-var (
-	// WithWorkers sets the worker-pool size for parallel stepping.
-	WithWorkers = core.WithWorkers
 )
 
 // Observation: pure observers of the run (metrics, traces, faults).

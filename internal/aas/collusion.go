@@ -422,7 +422,7 @@ func (s *CollusionService) assignProduct(c *Customer) {
 
 // dailyTick runs the daily lifecycle. Detector shipping and arrivals stay
 // serial; per-customer decisions (adaptation rollover, churn, home
-// activity) are planned in parallel from each customer's own stream, and
+// activity) are planned from each customer's own stream, and
 // the platform-touching outcomes — logins, posts, tier renewals and
 // deliveries — apply serially in shard order.
 func (s *CollusionService) dailyTick(scale float64) {
@@ -519,9 +519,9 @@ type freeReq struct {
 }
 
 // hourTick processes the hour's free requests: request counts and the
-// offering mix are planned in parallel from per-customer streams, then
-// each request is fulfilled serially (source selection draws from the
-// service stream during apply, where it is single-threaded).
+// offering mix are planned from per-customer streams, then each request
+// is fulfilled in the apply phase (source selection draws from the
+// service stream there, in apply order).
 func (s *CollusionService) hourTick() {
 	if s.stopped {
 		return

@@ -94,9 +94,9 @@ type Customer struct {
 
 	// rng is the customer's private random stream, forked from the
 	// service stream at enrollment. Every per-customer decision in the
-	// engines' planning phase draws from it, so partitioning customers
-	// into shards — on any number of workers — never changes the numbers
-	// any customer sees. See docs/DETERMINISM.md.
+	// engines' planning phase draws from it, so how customers are
+	// partitioned into shards never changes the numbers any customer
+	// sees. See docs/DETERMINISM.md.
 	rng *rng.RNG
 
 	// relRNG is a second private stream feeding only the resilience
@@ -111,9 +111,7 @@ type Customer struct {
 	br breaker
 
 	// tagScratch is the reusable buffer pickTarget fills from the
-	// hashtag feed each draw. Customer-local because targeting runs in
-	// the parallel planning phase: one buffer per customer means one
-	// goroutine ever touches it.
+	// hashtag feed each draw, during the plan phase.
 	tagScratch []platform.PostID
 }
 
@@ -261,8 +259,8 @@ type base struct {
 	// §6.4 evasion move.
 	proxies *netsim.ProxyPool
 
-	// steps is the worker pool the engines' tick planning fans out on.
-	// nil plans inline; either way the apply sequence is identical.
+	// steps guards and observes the engines' per-tick plan/apply cycle;
+	// nil runs it unguarded with an identical apply sequence.
 	steps *step.Pool
 
 	// Per-tick reusable scratch (see docs/PERFORMANCE.md): the customer
@@ -343,8 +341,9 @@ type Scheduler interface {
 // meaningful before any enrollment.
 func (b *base) SetAPI(kind platform.APIKind) { b.api = kind }
 
-// SetStepPool installs the worker pool used for parallel intent
-// generation during ticks. A nil pool (the default) plans inline.
+// SetStepPool installs the world's step pool (plan-phase guard and
+// tick observers) for the service's ticks. A nil pool (the default)
+// runs the same plan/apply cycle unguarded and untraced.
 func (b *base) SetStepPool(p *step.Pool) { b.steps = p }
 
 // WireTelemetry registers per-service attempt/success counters on reg,

@@ -26,13 +26,13 @@ type lifeOp struct {
 }
 
 // shardChunk is how many customers one planning shard covers. It is a
-// fixed constant — never derived from the worker count — because the
-// shard decomposition participates in the (shardID, seq) merge order
-// that makes the post-merge event stream a pure function of the seed.
+// fixed constant because the shard decomposition fixes the (shardID,
+// seq) apply order and the per-shard plan spans, both of which must be
+// a pure function of the seed.
 const shardChunk = 16
 
 // tickScratch is an engine's reusable planning scratch for one intent
-// type: the chunk bounds and the per-shard intent buffers runSharded
+// type: the chunk bounds and the intent buffer runSharded
 // fills every tick. A service holds one tickScratch per (tick, intent
 // type) pair and hands it back each tick, so steady-state planning
 // allocates nothing. The zero value is ready to use.
@@ -43,8 +43,8 @@ type tickScratch[T any] struct {
 
 // runSharded partitions actors into fixed-size shards and runs one
 // intent/apply cycle over them on the service's pool: plan is invoked
-// for every actor (concurrently across shards, in order within a
-// shard) and must only read shared state and draw from the actor's own
+// for every actor in order and must only read shared state and draw
+// from the actor's own
 // forked stream; apply receives the emitted intents serially in
 // (shard, emission) order and is the only place shared state mutates.
 //

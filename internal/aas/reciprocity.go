@@ -197,7 +197,7 @@ func (s *ReciprocityService) spawnCustomer() *Customer {
 // dailyTick runs arrivals, renewals, churn, and customers' own activity.
 // Arrivals stay serial — they draw from the service stream and mutate the
 // enrollment tables — while the per-customer lifecycle decisions are
-// planned in parallel from each customer's own stream and applied
+// planned from each customer's own stream and applied
 // serially in shard order.
 func (s *ReciprocityService) dailyTick(scale float64) {
 	if s.stopped {
@@ -266,11 +266,11 @@ func (s *ReciprocityService) dailyTick(scale float64) {
 
 // hourTick performs one hour's slice of automation for every active
 // account. Every stochastic decision — whether to post, how many actions
-// of each type, which targets — is planned in parallel from per-customer
+// of each type, which targets — is planned from per-customer
 // streams against the pre-tick platform snapshot; the resulting intents
 // then execute serially in shard order. Outcome feedback (blocks, rate
 // limits, session revocation) happens during the serial apply, with the
-// same stop-this-action-type semantics the sequential loop had.
+// same stop-this-action-type semantics a one-pass loop would have.
 func (s *ReciprocityService) hourTick() {
 	if s.stopped || len(s.pool) == 0 {
 		return
@@ -303,7 +303,7 @@ func (s *ReciprocityService) hourTick() {
 }
 
 // planCustomer makes every stochastic decision for one customer's hour —
-// the parallel phase. It draws only from the customer's own forked
+// the plan phase. It draws only from the customer's own forked
 // stream, reads platform state without writing it, and emits the actions
 // the service intends to perform.
 func (s *ReciprocityService) planCustomer(c *Customer, now time.Time, emit func(plannedOp)) {
@@ -444,9 +444,8 @@ func (a *opApplier) apply(op plannedOp) {
 func (s *ReciprocityService) pickTarget(r *rng.RNG, c *Customer, needPost bool) (platform.AccountID, platform.PostID, bool) {
 	if len(c.Hashtags) > 0 {
 		tag := c.Hashtags[r.Intn(len(c.Hashtags))]
-		// The feed query fills the customer's own scratch buffer: picking
-		// runs in the parallel planning phase, and per-customer scratch is
-		// touched by exactly one planning goroutine.
+		// The feed query fills the customer's own scratch buffer, reused
+		// draw to draw.
 		c.tagScratch = s.plat.AppendRecentByTag(c.tagScratch[:0], tag, 64)
 		posts := c.tagScratch
 		if len(posts) > 0 {

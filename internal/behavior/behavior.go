@@ -136,8 +136,8 @@ type Population struct {
 	pools    map[string][]platform.AccountID
 	nextName int
 
-	// steps is the worker pool daily posting plans fan out on; nil plans
-	// inline with an identical apply sequence.
+	// steps guards and observes daily posting's plan/apply cycle; nil
+	// runs it unguarded with an identical apply sequence.
 	steps *step.Pool
 
 	// Reusable daily-posting scratch (chunk bounds + per-shard intent
@@ -200,8 +200,9 @@ func New(model Model, plat *platform.Platform, sched *clock.Scheduler, r *rng.RN
 	return p
 }
 
-// SetStepPool installs the worker pool used for parallel planning of
-// daily posting. A nil pool (the default) plans inline.
+// SetStepPool installs the world's step pool (plan-phase guard and
+// tick observers) for daily posting. A nil pool (the default) runs the
+// same plan/apply cycle unguarded and untraced.
 func (p *Population) SetStepPool(pool *step.Pool) { p.steps = pool }
 
 // Reserve pre-sizes the member index for n more members, so a
@@ -543,7 +544,7 @@ func (p *Population) StartPosting(label string, days int, dailyProb float64) {
 	}
 	p.sched.EveryDay(13*time.Hour+30*time.Minute, days, func(int) {
 		// Plan phase: each member's post decision comes from their own
-		// stream, sharded independently of worker count; the posts — which
+		// stream, in fixed 64-member shards; the posts — which
 		// mutate the platform and may lazily log the member in — apply
 		// serially in shard order.
 		p.postChunks = step.ChunksInto(p.postChunks, len(ids), 64)

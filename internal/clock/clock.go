@@ -166,9 +166,9 @@ func (s *Scheduler) RunUntil(deadline time.Time) int {
 // the executing callbacks schedule for that same instant before
 // returning. It returns the tick's instant and the number of events run;
 // ran == 0 means the queue was empty and the clock did not move. Tick
-// stepping is what the parallel-stepping benchmarks and the determinism
-// harness drive: a tick is the unit whose internal work may fan out to a
-// worker pool, while ticks themselves always execute in timeline order.
+// stepping is what the determinism harness drives: a tick is the unit
+// whose internal work runs as one plan/apply cycle, while ticks
+// themselves always execute in timeline order.
 func (s *Scheduler) StepTick() (at time.Time, ran int) {
 	if len(s.queue) == 0 {
 		return s.clock.now, 0

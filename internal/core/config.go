@@ -7,6 +7,7 @@ package core
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"sort"
 
 	"footsteps/internal/faults"
@@ -61,12 +62,6 @@ type Config struct {
 	// services concentrating volume on a handful of addresses feel it.
 	IPDailyBudget int
 
-	// Workers bounds the goroutines used for per-tick intent planning.
-	// 0 or 1 steps the world sequentially. Any value produces the same
-	// event stream for the same seed — worker count changes wall-clock
-	// time, never bytes (see docs/DETERMINISM.md).
-	Workers int
-
 	// Telemetry, when non-nil, receives counters, gauges, and tick-phase
 	// histograms from every layer of the world. Telemetry is a pure
 	// observer: it consumes no RNG draws and feeds nothing back into the
@@ -79,8 +74,8 @@ type Config struct {
 	// outages, rate-limit storms — injected by the platform on every
 	// request (see docs/FAULTS.md). nil (the default) disables
 	// injection; a faults-off run is byte-identical to a build without
-	// the fault layer, and any faulted run is byte-identical across
-	// worker counts.
+	// the fault layer, and a faulted run is a pure function of seed and
+	// profile.
 	Faults *faults.Profile
 
 	// Trace, when non-nil, streams deterministic span records from every
@@ -94,9 +89,9 @@ type Config struct {
 	Trace *trace.Tracer
 
 	// CheckpointEvery makes World.RunDays write a snapshot after every
-	// N completed days (see docs/PERSISTENCE.md). 0 disables. Like
-	// Workers it never changes the event stream, only what
-	// gets written to disk alongside it.
+	// N completed days (see docs/PERSISTENCE.md). 0 disables. It never
+	// changes the event stream, only what gets written to disk alongside
+	// it.
 	CheckpointEvery int
 
 	// CheckpointDir is where periodic checkpoints land. Empty disables
@@ -105,9 +100,9 @@ type Config struct {
 
 	// Serving-layer knobs (internal/server, cmd/footsteps serve — see
 	// docs/API.md). All of them shape how network ingress reaches the
-	// world loop, never what the world does with it, so like Workers
-	// they are excluded from Fingerprint and a snapshot taken
-	// under one serving config restores under any other.
+	// world loop, never what the world does with it, so like the
+	// checkpoint settings they are excluded from Fingerprint and a
+	// snapshot taken under one serving config restores under any other.
 
 	// ServeAddr is the listen address for the HTTP/WS front end
 	// (host:port). Empty means serving is off.
@@ -137,22 +132,62 @@ type Config struct {
 	ServeIngressLog string
 }
 
+// Validate reports the first field that would make a world panic, hang
+// or run a meaningless study: Days, OrganicPopulation and PoolSize must
+// be positive; Scale and every ScaleOverride value finite and positive;
+// VPNUsers, IPDailyBudget and CheckpointEvery non-negative. NewWorld
+// panics on its error; the CLI reports it and exits.
+func (c Config) Validate() error {
+	switch {
+	case c.Days <= 0:
+		return fmt.Errorf("days must be > 0, got %d", c.Days)
+	case c.OrganicPopulation <= 0:
+		return fmt.Errorf("organic population must be > 0, got %d", c.OrganicPopulation)
+	case c.PoolSize <= 0:
+		return fmt.Errorf("pool size must be > 0, got %d", c.PoolSize)
+	case !positiveFinite(c.Scale):
+		return fmt.Errorf("scale must be finite and > 0, got %g", c.Scale)
+	case c.VPNUsers < 0:
+		return fmt.Errorf("VPN users must be >= 0, got %d", c.VPNUsers)
+	case c.IPDailyBudget < 0:
+		return fmt.Errorf("IP daily budget must be >= 0, got %d", c.IPDailyBudget)
+	case c.CheckpointEvery < 0:
+		return fmt.Errorf("checkpoint interval must be >= 0, got %d", c.CheckpointEvery)
+	}
+	for _, name := range sortedKeys(c.ScaleOverride) {
+		if v := c.ScaleOverride[name]; !positiveFinite(v) {
+			return fmt.Errorf("scale override %q must be finite and > 0, got %g", name, v)
+		}
+	}
+	return nil
+}
+
+// positiveFinite reports whether v is a finite number above zero (false
+// for NaN).
+func positiveFinite(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
+
+// sortedKeys returns m's keys in sorted order.
+func sortedKeys(m map[string]float64) []string {
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
 // Fingerprint hashes every semantic config field — the knobs that shape
-// the simulated timeline. Pure performance and observability knobs
-// (Workers, Telemetry, Trace, the checkpoint settings) are excluded, so
-// a snapshot taken at one worker count restores at any other. Seed is also excluded: it travels in the
-// snapshot header as its own field with its own mismatch diagnostic.
+// the simulated timeline. Observability and storage knobs (Telemetry,
+// Trace, the checkpoint and serving settings) are excluded, so a
+// snapshot restores under any of them. Seed is also excluded: it travels
+// in the snapshot header as its own field with its own mismatch
+// diagnostic.
 func (c Config) Fingerprint() uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "scale=%g days=%d pop=%d pool=%d vpn=%d graph=%t fgratis=%t ipbudget=%d",
 		c.Scale, c.Days, c.OrganicPopulation, c.PoolSize, c.VPNUsers,
 		c.GraphWrites, c.IncludeFollowersgratis, c.IPDailyBudget)
-	names := make([]string, 0, len(c.ScaleOverride))
-	for name := range c.ScaleOverride {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range sortedKeys(c.ScaleOverride) {
 		fmt.Fprintf(h, " so:%s=%g", name, c.ScaleOverride[name])
 	}
 	if c.Faults != nil {

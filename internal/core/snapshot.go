@@ -78,8 +78,8 @@ func (w *World) snapshotState() *persistence.WorldState {
 // RestoreWorld rebuilds a world from a snapshot written by Snapshot. The
 // config must describe the same semantic world: the snapshot's seed and
 // config fingerprint are checked against cfg and a *persistence.
-// MismatchError is returned on disagreement. Performance knobs (Workers,
-// Telemetry) are free to differ — the restored timeline is
+// MismatchError is returned on disagreement. Observability knobs
+// (Telemetry, Trace) are free to differ — the restored timeline is
 // byte-identical regardless.
 //
 // The returned world sits at the snapshot instant with lifecycle

@@ -40,10 +40,9 @@ type World struct {
 	// ProxyASNs back the evasion proxy networks of the §6.4 epilogue.
 	ProxyASNs []netsim.ASN
 
-	// Steps is the worker pool behind per-tick stepping. With
-	// cfg.Workers <= 1 it plans inline on the calling goroutine. Its
-	// Guard is installed on the platform and graph, so a mutation from a
-	// plan phase panics at any worker count.
+	// Steps carries the per-tick plan/apply cycle's guard and observers.
+	// Its Guard is installed on the platform and graph, so a mutation
+	// from a plan phase panics.
 	Steps *step.Pool
 
 	// Faults is the installed fault injector; nil when cfg.Faults is
@@ -95,10 +94,11 @@ func LabelFor(name string) string {
 const LabelInstaStar = "Insta*"
 
 // NewWorld builds and wires a world from the config. Nothing is scheduled
-// yet; experiments drive the scheduler themselves.
+// yet; experiments drive the scheduler themselves. It panics with
+// cfg.Validate's error on an invalid config.
 func NewWorld(cfg Config) *World {
-	if cfg.Days <= 0 || cfg.OrganicPopulation <= 0 || cfg.PoolSize <= 0 {
-		panic(fmt.Sprintf("core: degenerate config %+v", cfg))
+	if err := cfg.Validate(); err != nil {
+		panic(fmt.Sprintf("core: %v", err))
 	}
 	root := rng.New(cfg.Seed)
 	reg := netsim.NewRegistry()
@@ -109,9 +109,7 @@ func NewWorld(cfg Config) *World {
 	pcfg.GraphWrites = cfg.GraphWrites
 	graph := socialgraph.New()
 	plat := platform.New(pcfg, graph, reg, sched)
-	steps := step.NewPool(cfg.Workers)
-	steps.SetTracer(telemetry.NewTickTracer(cfg.Telemetry))
-	steps.SetTrace(cfg.Trace)
+	steps := step.NewPool(telemetry.NewTickTracer(cfg.Telemetry), cfg.Trace)
 	plat.SetGuard(steps.Guard())
 	plat.Reserve(reservedAccounts(cfg))
 	plat.WireTelemetry(cfg.Telemetry)
@@ -278,9 +276,8 @@ func (w *World) setupVPNUsers() {
 	if len(members) == 0 {
 		return
 	}
-	// Each VPN user draws daily activity from a private forked stream so
-	// the plan phase can shard them across workers without changing what
-	// any user does.
+	// Each VPN user draws daily activity from a private forked stream, so
+	// what a user does depends on nothing but their own draws.
 	w.vpnRNGs = make([]*rng.RNG, len(w.vpnSessions))
 	for i := range w.vpnRNGs {
 		w.vpnRNGs[i] = r.Fork(uint64(i))
@@ -292,7 +289,7 @@ func (w *World) setupVPNUsers() {
 		post   platform.PostID
 	}
 	// Modest daily organic activity through the VPN: action counts and
-	// targets are planned in parallel against the pre-tick snapshot, then
+	// targets are planned against the pre-tick snapshot, then
 	// the likes and follows apply serially in user order. The intent
 	// buffers persist in the closure and are reused day over day.
 	var vpnBufs step.Buffers[vpnOp]

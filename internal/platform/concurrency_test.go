@@ -220,9 +220,9 @@ func TestConcurrentRateLimitAccountingStaysInBounds(t *testing.T) {
 }
 
 // TestConcurrentReadersQuiescent runs every plan-phase read from eight
-// goroutines at once on a world whose writer is parked, as plan workers
-// do after the step barrier. Reads must not write anything shared: -race
-// flags any that does, and every reader must see the same answers.
+// goroutines at once on a world whose writer is parked, as analyses
+// between runs do. Reads must not write anything shared: -race flags any
+// that does, and every reader must see the same answers.
 func TestConcurrentReadersQuiescent(t *testing.T) {
 	t.Parallel()
 	cfg := DefaultConfig()

@@ -28,9 +28,8 @@ type FaultDecision struct {
 // FaultInjector is consulted on every platform request (session
 // actions and logins). Implementations MUST be pure functions of their
 // arguments plus construction-time state: the platform calls Decide
-// from the serial apply path, and run determinism
-// across worker counts rests on the verdict for a request being
-// independent of call order. internal/faults provides the
+// from the serial apply path, and run determinism rests on the verdict
+// for a request being independent of call order. internal/faults provides the
 // implementation; the interface lives here so the dependency points
 // from faults to platform.
 type FaultInjector interface {

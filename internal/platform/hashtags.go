@@ -5,8 +5,8 @@ import "footsteps/internal/intern"
 // hashtagIndex tracks recent posts per hashtag. Real feeds expose roughly
 // this surface: given a tag, fetch the most recent media — which is
 // exactly the discovery API the reciprocity AASs crawl when a customer
-// supplies a hashtag list (§3.3.1). Parallel intent generation crawls
-// the feeds; only the serial apply path writes them.
+// supplies a hashtag list (§3.3.1). The plan phase crawls the feeds;
+// only the apply phase writes them.
 type hashtagIndex struct {
 	byTag  map[string]*tagRing
 	keepup int

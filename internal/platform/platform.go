@@ -138,12 +138,12 @@ func (f GatekeeperFunc) Check(req Event) Verdict { return f(req) }
 // registration, login, the Do(Request) pipeline, deletion, restore —
 // runs on the world loop's apply goroutine (the serial apply phase of
 // step.RunInto, scheduler callbacks, or the server's drain loop). Pure
-// queries (Exists, LatestPost, PostAuthor, Posts, RecentByTag, …) may run
-// on many goroutines at once, but only while that writer is parked: plan
-// workers after the step barrier, or analyses between runs. Nothing is
-// locked; the step barrier and the server's ingest queue are the
-// synchronisation, and each mutator checks the world's step.Guard so a
-// write from a plan worker panics instead of racing.
+// queries (Exists, LatestPost, PostAuthor, Posts, RecentByTag, …) run in
+// the plan phase on that same goroutine, or on many goroutines at once
+// while the writer is parked (analyses between runs). Nothing is locked;
+// the server's ingest queue hands network requests to the world loop,
+// and each mutator checks the world's step.Guard so a write from the
+// plan phase panics.
 type Platform struct {
 	cfg   Config
 	graph *socialgraph.Graph

@@ -107,7 +107,7 @@ func reconstruct(t *testing.T, fsys durable.FS) []byte {
 // byte-identical to a plain Capture of the same config.
 func TestDurableLogInert(t *testing.T) {
 	t.Parallel()
-	cfg := smallConfig(42, 4)
+	cfg := smallConfig(42)
 	want := Capture(cfg)
 	for _, every := range []bool{false, true} {
 		every := every
@@ -178,36 +178,26 @@ func crashMatrixCase(t *testing.T, cfg core.Config, baseline []byte, fracs []flo
 	}
 }
 
-// TestCrashRecoveryProperty is the tentpole matrix: workers {1,4,8},
-// faults off and on, three deterministic kill points each (the failure
-// mode at each point — short write, fsync error, ENOSPC — is a
-// SplitMix64 verdict of the kill op). Case names carry shards=1:
-// platform and graph state each live in a single table.
+// TestCrashRecoveryProperty is the tentpole matrix: faults off and on,
+// three deterministic kill points each (the failure mode at each point —
+// short write, fsync error, ENOSPC — is a SplitMix64 verdict of the kill
+// op). Case names keep the shards=1/workers=1 they had when those were
+// knobs: platform and graph state each live in a single table and the
+// world plans on one goroutine.
 func TestCrashRecoveryProperty(t *testing.T) {
 	t.Parallel()
-	workersList := []int{1, 4, 8}
 	fracs := []float64{0.25, 0.55, 0.85}
-	if testing.Short() {
-		workersList = []int{4}
-	}
 	for _, faulted := range []bool{false, true} {
 		faulted := faulted
-		base := smallConfig(7, 1)
+		cfg := smallConfig(7)
 		if faulted {
-			base = faultedConfig(7, 1)
+			cfg = faultedConfig(7)
 		}
-		baseline := Capture(base)
-		for _, workers := range workersList {
-			workers := workers
-			t.Run(fmt.Sprintf("faults=%v/shards=1/workers=%d", faulted, workers), func(t *testing.T) {
-				t.Parallel()
-				cfg := smallConfig(7, workers)
-				if faulted {
-					cfg = faultedConfig(7, workers)
-				}
-				crashMatrixCase(t, cfg, baseline, fracs)
-			})
-		}
+		baseline := Capture(cfg)
+		t.Run(fmt.Sprintf("faults=%v/shards=1/workers=1", faulted), func(t *testing.T) {
+			t.Parallel()
+			crashMatrixCase(t, cfg, baseline, fracs)
+		})
 	}
 }
 
@@ -216,7 +206,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 // silently shortened stream.
 func TestCrashRecoveryTypedErrors(t *testing.T) {
 	t.Parallel()
-	cfg := smallConfig(3, 1)
+	cfg := smallConfig(3)
 	opts := durable.Options{Seed: cfg.Seed, Fingerprint: cfg.Fingerprint()}
 	build := func(t *testing.T) *durable.MemFS {
 		fsys := durable.NewMemFS()

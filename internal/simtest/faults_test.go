@@ -18,8 +18,8 @@ import (
 
 // faultedConfig is smallConfig with the "mixed" built-in scenario: all
 // five fault kinds firing inside the six-day window.
-func faultedConfig(seed uint64, workers int) core.Config {
-	cfg := smallConfig(seed, workers)
+func faultedConfig(seed uint64) core.Config {
+	cfg := smallConfig(seed)
 	cfg.Faults = faults.MustScenario("mixed")
 	return cfg
 }
@@ -43,7 +43,7 @@ func TestFaultsOffGoldenStream(t *testing.T) {
 		wantHash = "fb3cf3641ce581995b04def49af3e7c21d2ab9af81610e787daee77ad9cec51f"
 		wantLen  = 677665
 	)
-	got := Capture(smallConfig(1, 0))
+	got := Capture(smallConfig(1))
 	sum := sha256.Sum256(got)
 	gotHash := hex.EncodeToString(sum[:])
 	if len(got) != wantLen || gotHash != wantHash {
@@ -64,7 +64,7 @@ func TestFaultedGoldenStream(t *testing.T) {
 		wantHash = "8cb8043d19e72de2ff66ff819c914a0e2b7748320a007433de7a2d93c6d9f4bc"
 		wantLen  = 650654
 	)
-	got := Capture(faultedConfig(1, 0))
+	got := Capture(faultedConfig(1))
 	sum := sha256.Sum256(got)
 	gotHash := hex.EncodeToString(sum[:])
 	if len(got) != wantLen || gotHash != wantHash {
@@ -75,27 +75,21 @@ func TestFaultedGoldenStream(t *testing.T) {
 
 // TestFaultedStreamDeterminism is the tentpole contract for injection:
 // with a fault profile active, the stream must still be byte-identical
-// across worker counts and across fresh runs — fault verdicts are pure
-// functions of (seed, request), not of scheduling.
+// across fresh runs — fault verdicts are pure functions of (seed,
+// request), not of scheduling.
 func TestFaultedStreamDeterminism(t *testing.T) {
 	t.Parallel()
-	want := Capture(faultedConfig(1, 0))
+	want := Capture(faultedConfig(1))
 
 	// Vacuity guard: the scenario must actually have injected faults,
-	// otherwise worker-equality proves nothing about the injector.
+	// otherwise run-to-run equality proves nothing about the injector.
 	if n := countUnavailable(t, want); n < 50 {
 		t.Fatalf("mixed scenario emitted only %d unavailable events; faulted comparison would be vacuous", n)
 	}
 
-	for _, workers := range []int{1, 4, 8} {
-		got := Capture(faultedConfig(1, workers))
-		if !bytes.Equal(want, got) {
-			t.Errorf("workers=%d: faulted stream diverged from sequential run: %s != %s (lengths %d vs %d)",
-				workers, Hash(got), Hash(want), len(got), len(want))
-		}
-	}
-	if again := Capture(faultedConfig(1, 0)); !bytes.Equal(want, again) {
-		t.Errorf("same faulted config diverged across fresh runs: %s != %s", Hash(want), Hash(again))
+	if again := Capture(faultedConfig(1)); !bytes.Equal(want, again) {
+		t.Errorf("same faulted config diverged across fresh runs: %s != %s (lengths %d vs %d)",
+			Hash(again), Hash(want), len(again), len(want))
 	}
 }
 
@@ -104,8 +98,8 @@ func TestFaultedStreamDeterminism(t *testing.T) {
 // changes anything. The faulted stream must not equal the clean one.
 func TestFaultedStreamDiffersFromBaseline(t *testing.T) {
 	t.Parallel()
-	clean := Capture(smallConfig(2, 0))
-	faulted := Capture(faultedConfig(2, 0))
+	clean := Capture(smallConfig(2))
+	faulted := Capture(faultedConfig(2))
 	if bytes.Equal(clean, faulted) {
 		t.Fatal("mixed fault scenario produced a byte-identical stream to the clean run; injection is dead")
 	}
@@ -128,7 +122,7 @@ func TestFaultedStreamDiffersFromBaseline(t *testing.T) {
 //     retries were scheduled, and re-logins were attempted.
 func TestFaultRetryProperties(t *testing.T) {
 	t.Parallel()
-	cfg := faultedConfig(5, 4)
+	cfg := faultedConfig(5)
 	cfg.GraphWrites = true
 	reg := telemetry.NewRegistry()
 	cfg.Telemetry = reg
@@ -231,12 +225,12 @@ func TestFaultRetryProperties(t *testing.T) {
 
 // TestFaultedTelemetryWorkerStable asserts the fault/retry counters are
 // themselves deterministic: the same faulted config yields the same
-// counter values at any worker count (the report's resilience section
-// is part of the reproducible output).
+// counter values in two fresh runs (the report's resilience section is
+// part of the reproducible output).
 func TestFaultedTelemetryWorkerStable(t *testing.T) {
 	t.Parallel()
-	counters := func(workers int) string {
-		cfg := faultedConfig(9, workers)
+	counters := func() string {
+		cfg := faultedConfig(9)
 		reg := telemetry.NewRegistry()
 		cfg.Telemetry = reg
 		Capture(cfg)
@@ -251,15 +245,12 @@ func TestFaultedTelemetryWorkerStable(t *testing.T) {
 		}
 		return b.String()
 	}
-	want := counters(0)
+	want := counters()
 	if want == "" {
 		t.Fatal("no fault/resilience counters recorded; comparison is vacuous")
 	}
-	for _, workers := range []int{4, 8} {
-		if got := counters(workers); got != want {
-			t.Errorf("workers=%d: fault counters diverged from sequential run:\n--- sequential\n%s--- workers=%d\n%s",
-				workers, want, workers, got)
-		}
+	if got := counters(); got != want {
+		t.Errorf("fault counters diverged across fresh runs:\n--- first\n%s--- second\n%s", want, got)
 	}
 }
 

@@ -17,14 +17,14 @@ import (
 // docs/PERSISTENCE.md): a world restored from a day-N snapshot must
 // produce, for the remainder of the window, an FSEV1 event stream
 // byte-identical to the corresponding suffix of a straight-through run —
-// and must end in byte-identical world state. Like the worker/shard
+// and must end in byte-identical world state. Like the golden-stream
 // tests, the comparison is over encoded bytes, so any divergence in
 // event content, order, timing, or final state fails loudly.
 
 // resumeConfig is smallConfig stretched to eight days so the snapshot
 // days {1, 3, 7} from the issue's matrix all fall inside the window.
-func resumeConfig(seed uint64, workers int) core.Config {
-	cfg := smallConfig(seed, workers)
+func resumeConfig(seed uint64) core.Config {
+	cfg := smallConfig(seed)
 	cfg.Days = 8
 	return cfg
 }
@@ -138,7 +138,7 @@ func snapshotInstant(t *testing.T, snap []byte) time.Time {
 // the exact final state.
 func TestResumeEquivalence(t *testing.T) {
 	t.Parallel()
-	cfg := resumeConfig(1, 0)
+	cfg := resumeConfig(1)
 	snaps := map[int]*bytes.Buffer{1: {}, 3: {}, 7: {}}
 	baseline := captureWithSnapshots(t, cfg, snaps)
 	if n := countEvents(t, baseline); n < 1000 {
@@ -164,14 +164,14 @@ func TestResumeEquivalence(t *testing.T) {
 	}
 }
 
-// TestResumeAcrossShardsAndWorkers restores one day-3 snapshot at every
-// worker count and demands the identical suffix and final state from
-// each: the worker count stays a pure performance knob across a
-// checkpoint boundary. Platform and graph state each live in a single
-// table, so every case runs at shards=1 and its name says so.
+// TestResumeAcrossShardsAndWorkers restores one day-3 snapshot twice and
+// demands the identical suffix and final state from each restore. The
+// case keeps the shards=1/workers=1 name it had when those were knobs:
+// platform and graph state each live in a single table and the world
+// plans on one goroutine.
 func TestResumeAcrossShardsAndWorkers(t *testing.T) {
 	t.Parallel()
-	cfg := resumeConfig(2, 0)
+	cfg := resumeConfig(2)
 	snaps := map[int]*bytes.Buffer{3: {}}
 	baseline := captureWithSnapshots(t, cfg, snaps)
 	snap := snaps[3].Bytes()
@@ -184,23 +184,18 @@ func TestResumeAcrossShardsAndWorkers(t *testing.T) {
 		t.Fatalf("reference resume diverged: hash %s != %s", Hash(refStream), Hash(want))
 	}
 
-	for _, workers := range []int{1, 4, 8} {
-		workers := workers
-		t.Run(fmt.Sprintf("shards=1/workers=%d", workers), func(t *testing.T) {
-			t.Parallel()
-			rcfg := cfg
-			rcfg.Workers = workers
-			got, final := captureResumed(t, rcfg, snap)
-			if !bytes.Equal(want, got) {
-				t.Errorf("resumed stream diverged: hash %s != %s (lengths %d vs %d)",
-					Hash(got), Hash(want), len(got), len(want))
-			}
-			if !bytes.Equal(refFinal, final) {
-				t.Errorf("final world state diverged: hash %s != %s (lengths %d vs %d)",
-					Hash(final), Hash(refFinal), len(final), len(refFinal))
-			}
-		})
-	}
+	t.Run("shards=1/workers=1", func(t *testing.T) {
+		t.Parallel()
+		got, final := captureResumed(t, cfg, snap)
+		if !bytes.Equal(want, got) {
+			t.Errorf("resumed stream diverged: hash %s != %s (lengths %d vs %d)",
+				Hash(got), Hash(want), len(got), len(want))
+		}
+		if !bytes.Equal(refFinal, final) {
+			t.Errorf("final world state diverged: hash %s != %s (lengths %d vs %d)",
+				Hash(final), Hash(refFinal), len(final), len(refFinal))
+		}
+	})
 }
 
 // TestResumeEquivalenceFaulted repeats the invariant with the mixed
@@ -208,25 +203,21 @@ func TestResumeAcrossShardsAndWorkers(t *testing.T) {
 // windows must all survive the checkpoint.
 func TestResumeEquivalenceFaulted(t *testing.T) {
 	t.Parallel()
-	cfg := faultedConfig(3, 0)
+	cfg := faultedConfig(3)
 	cfg.Days = 8
 	snaps := map[int]*bytes.Buffer{3: {}}
 	baseline := captureWithSnapshots(t, cfg, snaps)
 	snap := snaps[3].Bytes()
 	want := suffixAfter(t, baseline, snapshotInstant(t, snap))
-	for _, workers := range []int{0, 4} {
-		workers := workers
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			t.Parallel()
-			rcfg := cfg
-			rcfg.Workers = workers
-			got, _ := captureResumed(t, rcfg, snap)
-			if !bytes.Equal(want, got) {
-				t.Errorf("faulted resume diverged: hash %s != %s (lengths %d vs %d)",
-					Hash(got), Hash(want), len(got), len(want))
-			}
-		})
-	}
+	// The case keeps the workers=0 name of the default configuration.
+	t.Run("workers=0", func(t *testing.T) {
+		t.Parallel()
+		got, _ := captureResumed(t, cfg, snap)
+		if !bytes.Equal(want, got) {
+			t.Errorf("faulted resume diverged: hash %s != %s (lengths %d vs %d)",
+				Hash(got), Hash(want), len(got), len(want))
+		}
+	})
 }
 
 // TestRestoreWorldRejectsForgedIDs: platform and graph rows sit at ID − 1,
@@ -235,7 +226,7 @@ func TestResumeEquivalenceFaulted(t *testing.T) {
 // error instead, without growing the heap. Not parallel: the heap
 // measurement must not see other tests' allocations.
 func TestRestoreWorldRejectsForgedIDs(t *testing.T) {
-	cfg := resumeConfig(6, 0)
+	cfg := resumeConfig(6)
 	cfg.GraphWrites = true
 	snaps := map[int]*bytes.Buffer{2: {}}
 	captureWithSnapshots(t, cfg, snaps)
@@ -277,7 +268,7 @@ func TestRestoreWorldRejectsForgedIDs(t *testing.T) {
 // silently produce a diverging world.
 func TestRestoreRejectsMismatch(t *testing.T) {
 	t.Parallel()
-	cfg := resumeConfig(4, 0)
+	cfg := resumeConfig(4)
 	snaps := map[int]*bytes.Buffer{1: {}}
 	captureWithSnapshots(t, cfg, snaps)
 	snap := snaps[1].Bytes()
@@ -296,11 +287,11 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 		t.Errorf("wrong config: want MismatchError{Field: config fingerprint}, got %v", err)
 	}
 
-	// Performance knobs are excluded from the fingerprint on purpose.
-	perfCfg := cfg
-	perfCfg.Workers = 8
-	if _, err := core.RestoreWorld(perfCfg, bytes.NewReader(snap)); err != nil {
-		t.Errorf("worker change must not invalidate a snapshot, got %v", err)
+	// Serving knobs are excluded from the fingerprint on purpose.
+	serveCfg := cfg
+	serveCfg.ServeMaxBatch = 8
+	if _, err := core.RestoreWorld(serveCfg, bytes.NewReader(snap)); err != nil {
+		t.Errorf("serving-knob change must not invalidate a snapshot, got %v", err)
 	}
 
 	// A truncated checkpoint must surface a TruncatedError with the

@@ -17,7 +17,6 @@ func scaleConfig(accounts, days int) core.Config {
 	cfg := core.TestConfig()
 	cfg.Days = days
 	cfg.OrganicPopulation = accounts
-	cfg.Workers = 4
 	return cfg
 }
 
@@ -32,8 +31,8 @@ const scaleSmokeHeapBudget = 256 << 20
 
 // TestScaleSmoke is the CI scale arm: build a 100k-account world, run a
 // week, and assert the live heap stays under budget. It guards the
-// bytes-per-account density the 1M-account BENCH_SCALE run depends on,
-// at a size every test sweep can afford (~0.6 s).
+// bytes-per-account density the 1M-account perfbench scale workload
+// depends on, at a size every test sweep can afford (~0.6 s).
 func TestScaleSmoke(t *testing.T) {
 	start := time.Now()
 	cfg := scaleConfig(100_000, 7)

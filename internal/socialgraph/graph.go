@@ -12,7 +12,7 @@
 // sorted-[]uint32 adjacency (see table.go), sized for million-account
 // worlds. The graph is not locked: it has a single writer, the world
 // loop's apply phase, and readers run only while that writer is parked
-// (plan workers after the step barrier, analyses between runs). Mutators
+// (the plan phase before the step barrier, analyses between runs). Mutators
 // check the world's step.Guard and panic if called during a plan phase;
 // see docs/ARCHITECTURE.md, "Single-writer platform state".
 package socialgraph

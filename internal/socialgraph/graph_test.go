@@ -276,7 +276,7 @@ func TestDegreeConservation(t *testing.T) {
 	}
 }
 
-// TestConcurrentSafety: the graph has one writer, but plan workers read
+// TestConcurrentSafety: the graph has one writer, but analyses may read
 // it from many goroutines while that writer is parked. Reads must not
 // write anything shared (-race checks) and must all see the same graph.
 func TestConcurrentSafety(t *testing.T) {

@@ -7,36 +7,41 @@ import "testing"
 // call (one simulated tick section) with warm reusable Buffers. Raise a
 // budget only with a profile showing why — see docs/PERFORMANCE.md.
 const (
-	// Warm Buffers cache both the intent slices and the per-shard emit
-	// closures; the only remaining per-call allocation is the runShard
-	// dispatch closure.
-	allocBudgetRunInto    = 1
+	// Warm Buffers cache both the intent slice and the emit closure, and
+	// planning calls gen directly, so a warm call allocates nothing.
+	allocBudgetRunInto    = 0
 	allocBudgetChunksInto = 0
 )
 
 // TestAllocBudgetRunInto pins the per-tick allocation count of the
-// inline intent/apply cycle when the caller supplies warm Buffers.
+// intent/apply cycle when the caller supplies warm Buffers, with a nil
+// pool and with a world's pool whose tracers are off.
 func TestAllocBudgetRunInto(t *testing.T) {
 	const shards = 8
-	var b Buffers[int]
-	sum := 0
-	gen := func(shard int, emit func(int)) {
-		for i := 0; i < 16; i++ {
-			emit(shard*16 + i)
+	for _, tc := range []struct {
+		name string
+		pool *Pool
+	}{{"nil", nil}, {"untraced", NewPool(nil, nil)}} {
+		var b Buffers[int]
+		sum := 0
+		gen := func(shard int, emit func(int)) {
+			for i := 0; i < 16; i++ {
+				emit(shard*16 + i)
+			}
 		}
-	}
-	apply := func(v int) { sum += v }
-	// Warm the shard buffers to their steady capacity.
-	RunInto[int](nil, &b, shards, gen, apply)
-	got := testing.AllocsPerRun(100, func() {
-		RunInto[int](nil, &b, shards, gen, apply)
-	})
-	if got > allocBudgetRunInto {
-		t.Errorf("step.RunInto allocates %.1f per tick over %d warm shards, budget %d — pooled intent buffers or cached emit closures regressed",
-			got, shards, allocBudgetRunInto)
-	}
-	if sum == 0 {
-		t.Fatal("apply never ran; measurement is vacuous")
+		apply := func(v int) { sum += v }
+		// Warm the buffer to its steady capacity.
+		RunInto(tc.pool, &b, shards, gen, apply)
+		got := testing.AllocsPerRun(100, func() {
+			RunInto(tc.pool, &b, shards, gen, apply)
+		})
+		if got > allocBudgetRunInto {
+			t.Errorf("%s pool: step.RunInto allocates %.1f per tick over %d warm shards, budget %d — pooled intent buffer or cached emit closure regressed",
+				tc.name, got, shards, allocBudgetRunInto)
+		}
+		if sum == 0 {
+			t.Fatalf("%s pool: apply never ran; measurement is vacuous", tc.name)
+		}
 	}
 }
 

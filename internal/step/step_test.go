@@ -1,47 +1,64 @@
 package step
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"io"
+	"runtime"
 	"slices"
-	"sync/atomic"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"footsteps/internal/rng"
 	"footsteps/internal/telemetry"
+	"footsteps/internal/trace"
 )
 
+// shardItems is what shard emits in collect: a deterministic
+// pseudo-random number of items drawn from the shard's forked stream.
+func shardItems(root *rng.RNG, shard int) []string {
+	r := root.Fork(uint64(shard))
+	n := r.Intn(7)
+	out := make([]string, n)
+	for k := range out {
+		out[k] = fmt.Sprintf("s%d.%d:%d", shard, k, r.Uint64())
+	}
+	return out
+}
+
 // collect runs one intent/apply cycle through b where each shard emits
-// a deterministic pseudo-random number of items drawn from a forked
-// stream, and returns the applied sequence.
-func collect(b *Buffers[string], workers, shards int, seed uint64) []string {
+// shardItems, and returns the applied sequence.
+func collect(b *Buffers[string], shards int, seed uint64) []string {
 	root := rng.New(seed)
-	pool := NewPool(workers)
 	var out []string
-	RunInto(pool, b, shards, func(shard int, emit func(string)) {
-		r := root.Fork(uint64(shard))
-		n := r.Intn(7)
-		for k := 0; k < n; k++ {
-			emit(fmt.Sprintf("s%d.%d:%d", shard, k, r.Uint64()))
+	RunInto(NewPool(nil, nil), b, shards, func(shard int, emit func(string)) {
+		for _, v := range shardItems(root, shard) {
+			emit(v)
 		}
 	}, func(v string) { out = append(out, v) })
 	return out
 }
 
-// TestRunMergeOrderIndependentOfWorkers is the pool's core contract: any
-// worker count produces the identical apply sequence, and so does any
-// history of the Buffers it runs through. One Buffers reused across
-// ticks whose shard count grows and shrinks must apply, on every tick,
-// exactly what a fresh Buffers applies — a shard slice that kept an
-// earlier tick's intents, or a stale emit closure, would show here.
+// TestRunMergeOrderIndependentOfWorkers is the pool's core contract: the
+// apply sequence is every shard's intents in (shardID, seq) order, and
+// no history of the Buffers it runs through changes that. One Buffers
+// reused across ticks whose shard count grows and shrinks must apply,
+// on every tick, exactly what a fresh Buffers applies — a buffer that
+// kept an earlier tick's intents, or a stale emit closure, would show
+// here. (The name predates the removal of the pool's worker count.)
 func TestRunMergeOrderIndependentOfWorkers(t *testing.T) {
 	t.Parallel()
-	check := func(seed uint64, shards uint8, workers uint8, ticks []uint8) bool {
+	check := func(seed uint64, shards uint8, ticks []uint8) bool {
 		n := int(shards%33) + 1
-		w := int(workers%16) + 2
-		want := collect(&Buffers[string]{}, 1, n, seed)
-		got := collect(&Buffers[string]{}, w, n, seed)
-		if !slices.Equal(want, got) {
+		root := rng.New(seed)
+		var want []string
+		for i := 0; i < n; i++ {
+			want = append(want, shardItems(root, i)...)
+		}
+		if !slices.Equal(want, collect(&Buffers[string]{}, n, seed)) {
 			return false
 		}
 		// Grow past n, shrink to one shard, return to n, then follow
@@ -50,14 +67,12 @@ func TestRunMergeOrderIndependentOfWorkers(t *testing.T) {
 		for _, s := range ticks {
 			counts = append(counts, int(s%33)+1)
 		}
-		for _, workers := range []int{1, 4} {
-			var reused Buffers[string]
-			for k, m := range counts {
-				tickSeed := seed + uint64(k)
-				fresh := collect(&Buffers[string]{}, workers, m, tickSeed)
-				if !slices.Equal(fresh, collect(&reused, workers, m, tickSeed)) {
-					return false
-				}
+		var reused Buffers[string]
+		for k, m := range counts {
+			tickSeed := seed + uint64(k)
+			fresh := collect(&Buffers[string]{}, m, tickSeed)
+			if !slices.Equal(fresh, collect(&reused, m, tickSeed)) {
+				return false
 			}
 		}
 		return true
@@ -67,69 +82,87 @@ func TestRunMergeOrderIndependentOfWorkers(t *testing.T) {
 	}
 }
 
+// goid returns the calling goroutine's ID, parsed from its stack header.
+func goid() int {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	f := strings.Fields(string(buf))
+	if len(f) >= 2 && f[0] == "goroutine" {
+		if id, err := strconv.Atoi(f[1]); err == nil {
+			return id
+		}
+	}
+	panic("step: unparsable stack header " + string(buf))
+}
+
+// TestRunPlansInShardOrderOnCaller: gen runs exactly once per shard, in
+// shard order, on the goroutine that called RunInto.
+func TestRunPlansInShardOrderOnCaller(t *testing.T) {
+	t.Parallel()
+	const shards = 12
+	caller := goid()
+	for _, p := range []*Pool{nil, NewPool(nil, nil)} {
+		var order []int
+		RunInto(p, &Buffers[int]{}, shards, func(shard int, emit func(int)) {
+			if g := goid(); g != caller {
+				t.Errorf("shard %d planned on goroutine %d, caller is %d", shard, g, caller)
+			}
+			order = append(order, shard)
+		}, func(int) {})
+		want := make([]int, shards)
+		for i := range want {
+			want[i] = i
+		}
+		if !slices.Equal(order, want) {
+			t.Fatalf("pool %v: gen calls %v, want each shard once in order %v", p, order, want)
+		}
+	}
+}
+
 // TestRunBarrierBeforeApply: no apply may run before every shard has
 // generated (generation must observe the pre-tick snapshot).
 func TestRunBarrierBeforeApply(t *testing.T) {
 	t.Parallel()
-	var generated atomic.Int32
+	generated := 0
 	const shards = 50
-	RunInto(NewPool(8), &Buffers[int]{}, shards, func(shard int, emit func(int)) {
-		generated.Add(1)
+	RunInto(NewPool(nil, nil), &Buffers[int]{}, shards, func(shard int, emit func(int)) {
+		generated++
 		emit(shard)
 	}, func(int) {
-		if g := generated.Load(); g != shards {
-			t.Errorf("apply ran with only %d/%d shards generated", g, shards)
+		if generated != shards {
+			t.Errorf("apply ran with only %d/%d shards generated", generated, shards)
 		}
 	})
 }
 
-// TestRunAppliesSerially: apply must never run concurrently with itself.
+// TestRunAppliesSerially: apply must never run concurrently with itself,
+// and every emitted intent is applied once.
 func TestRunAppliesSerially(t *testing.T) {
 	t.Parallel()
-	var inApply atomic.Int32
+	inApply := 0
 	applied := 0
-	RunInto(NewPool(6), &Buffers[int]{}, 40, func(shard int, emit func(int)) {
+	RunInto(NewPool(nil, nil), &Buffers[int]{}, 40, func(shard int, emit func(int)) {
 		for k := 0; k < 5; k++ {
 			emit(shard*10 + k)
 		}
 	}, func(int) {
-		if inApply.Add(1) != 1 {
+		if inApply++; inApply != 1 {
 			t.Error("concurrent apply")
 		}
 		applied++
-		inApply.Add(-1)
+		inApply--
 	})
 	if applied != 40*5 {
 		t.Fatalf("applied %d intents, want %d", applied, 40*5)
 	}
 }
 
-// TestRunGenConcurrencyBounded: at most Workers() gens in flight.
-func TestRunGenConcurrencyBounded(t *testing.T) {
-	t.Parallel()
-	const workers = 3
-	var inGen, peak atomic.Int32
-	RunInto(NewPool(workers), &Buffers[struct{}]{}, 64, func(shard int, emit func(struct{})) {
-		n := inGen.Add(1)
-		for {
-			p := peak.Load()
-			if n <= p || peak.CompareAndSwap(p, n) {
-				break
-			}
-		}
-		inGen.Add(-1)
-	}, func(struct{}) {})
-	if p := peak.Load(); p > workers {
-		t.Fatalf("observed %d concurrent gens, bound %d", p, workers)
-	}
-}
-
-// TestNilPoolRunsInline: a nil *Pool is a valid sequential pool.
+// TestNilPoolRunsInline: a nil *Pool runs the same cycle, unguarded.
 func TestNilPoolRunsInline(t *testing.T) {
 	t.Parallel()
 	var p *Pool
-	if p.Workers() != 1 {
-		t.Fatalf("nil pool workers = %d", p.Workers())
+	if p.Guard() != nil {
+		t.Fatal("nil pool has a guard")
 	}
 	got := 0
 	RunInto(p, &Buffers[int]{}, 5, func(shard int, emit func(int)) { emit(shard) }, func(v int) { got += v })
@@ -160,35 +193,75 @@ func TestChunksCoverExactly(t *testing.T) {
 	}
 }
 
-// TestTracerObservesRun: a wired tracer records sections, shards, and
-// intent counts on both the inline and pooled paths, and identical
-// generation happens with or without it.
+// TestTracerObservesRun: the tick tracer and the span tracer record the
+// section, each shard's own intent count and the applied total, and
+// identical generation happens with them on. Shard i emits i intents,
+// so a count that accumulated across shards would show in the sums.
 func TestTracerObservesRun(t *testing.T) {
 	t.Parallel()
-	for _, workers := range []int{1, 4} {
-		reg := telemetry.NewRegistry()
-		p := NewPool(workers)
-		p.SetTracer(telemetry.NewTickTracer(reg))
-		sum := 0
-		RunInto(p, &Buffers[int]{}, 6, func(shard int, emit func(int)) {
+	reg := telemetry.NewRegistry()
+	var spans bytes.Buffer
+	tr, err := trace.New(&spans, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewPool(telemetry.NewTickTracer(reg), tr)
+	const shards = 6
+	sum := 0
+	RunInto(p, &Buffers[int]{}, shards, func(shard int, emit func(int)) {
+		for k := 0; k < shard; k++ {
 			emit(shard)
-			emit(shard * 10)
-		}, func(v int) { sum += v })
-		if want := (0 + 1 + 2 + 3 + 4 + 5) * 11; sum != want {
-			t.Fatalf("workers=%d: applied sum %d, want %d", workers, sum, want)
 		}
-		snap := reg.Snapshot()
-		if snap.Counters["step.sections"] != 1 {
-			t.Fatalf("workers=%d: sections = %d", workers, snap.Counters["step.sections"])
+	}, func(v int) { sum += v })
+	if want := 1*1 + 2*2 + 3*3 + 4*4 + 5*5; sum != want {
+		t.Fatalf("applied sum %d, want %d", sum, want)
+	}
+	const intents = 0 + 1 + 2 + 3 + 4 + 5
+	snap := reg.Snapshot()
+	if snap.Counters["step.sections"] != 1 {
+		t.Fatalf("sections = %d", snap.Counters["step.sections"])
+	}
+	if snap.Counters["step.shards"] != shards {
+		t.Fatalf("shards = %d", snap.Counters["step.shards"])
+	}
+	if snap.Counters["step.intents"] != intents {
+		t.Fatalf("intents = %d", snap.Counters["step.intents"])
+	}
+	if h := snap.Histograms["step.plan.shard.intents"]; h.Count != shards || h.Sum != intents {
+		t.Fatalf("per-shard intents histogram: count %d sum %d, want %d and %d", h.Count, h.Sum, shards, intents)
+	}
+	if snap.Histograms["step.plan.shard.ns"].Count != shards {
+		t.Fatalf("plan histogram count = %d", snap.Histograms["step.plan.shard.ns"].Count)
+	}
+	if snap.Histograms["step.apply.ns"].Count != 1 {
+		t.Fatalf("apply histogram count = %d", snap.Histograms["step.apply.ns"].Count)
+	}
+
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := trace.NewReader(&spans)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var section int64 = -1
+	var plans []int64
+	for {
+		sp, err := r.Next()
+		if errors.Is(err, io.EOF) {
+			break
 		}
-		if snap.Counters["step.shards"] != 6 {
-			t.Fatalf("workers=%d: shards = %d", workers, snap.Counters["step.shards"])
+		if err != nil {
+			t.Fatal(err)
 		}
-		if snap.Counters["step.intents"] != 12 {
-			t.Fatalf("workers=%d: intents = %d", workers, snap.Counters["step.intents"])
+		switch sp.Kind {
+		case trace.KindSection:
+			section = sp.Value
+		case trace.KindPlan:
+			plans = append(plans, sp.Value)
 		}
-		if snap.Histograms["step.apply.ns"].Count != 1 {
-			t.Fatalf("workers=%d: apply histogram count = %d", workers, snap.Histograms["step.apply.ns"].Count)
-		}
+	}
+	if section != intents || !slices.Equal(plans, []int64{0, 1, 2, 3, 4, 5}) {
+		t.Fatalf("spans: section value %d, plan values %v; want %d and each shard's own count", section, plans, intents)
 	}
 }

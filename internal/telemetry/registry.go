@@ -1,6 +1,6 @@
 // Package telemetry is the simulator's instrumentation plane: a
 // lock-cheap registry of counters, gauges, and fixed-bucket histograms,
-// a tick-phase tracer for the parallel stepping engine, a per-day JSONL
+// a tick-phase tracer for the plan/apply stepping engine, a per-day JSONL
 // sink, and a debug HTTP listener exposing expvar snapshots and pprof.
 //
 // The package is a strict leaf: it imports only the standard library, so
@@ -10,7 +10,7 @@
 // Telemetry is a PURE OBSERVER. Instruments never touch simulation
 // state, never draw from any RNG, and never emit platform events, so the
 // FSEV1 event stream is byte-identical with telemetry on, off, or
-// sampled live over HTTP at any worker count (see docs/OBSERVABILITY.md
+// sampled live over HTTP (see docs/OBSERVABILITY.md
 // and docs/DETERMINISM.md). Every instrument method is nil-safe — a nil
 // *Registry hands out nil instruments whose methods no-op — so wiring
 // code calls unconditionally and "telemetry off" costs one nil check.

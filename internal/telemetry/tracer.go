@@ -3,7 +3,7 @@ package telemetry
 import "time"
 
 // TickTracer instruments the stepping engine's intent/apply pipeline:
-// how many parallel sections ran, how wall-clock time splits between the
+// how many sections ran, how wall-clock time splits between the
 // per-shard plan phase and the serial apply phase, and how many intents
 // each carried. Durations are wall-clock (they exist to show where tick
 // time goes) and feed no simulation decision, so tracing cannot perturb
@@ -38,7 +38,7 @@ func NewTickTracer(reg *Registry) *TickTracer {
 // skip time.Now() calls entirely when tracing is off.
 func (t *TickTracer) Enabled() bool { return t != nil }
 
-// SectionStart records the start of one Run (one parallel section).
+// SectionStart records the start of one RunInto section.
 func (t *TickTracer) SectionStart() {
 	if t == nil {
 		return
@@ -47,7 +47,7 @@ func (t *TickTracer) SectionStart() {
 }
 
 // ShardPlanned records one shard's generation phase: its wall duration
-// and the intents it emitted. Called concurrently from pool workers.
+// and the intents it emitted.
 func (t *TickTracer) ShardPlanned(d time.Duration, intents int) {
 	if t == nil {
 		return

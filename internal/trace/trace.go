@@ -11,9 +11,8 @@
 //     the simulated instant and sequence is a per-tick counter advanced
 //     only on the serial scheduler/apply goroutine. Wall clocks and
 //     global atomic counters never reach an identity field, so the span
-//     IDs in a trace are byte-identical across worker counts and shard
-//     counts — only the timing fields (Start, Wall, stage durations)
-//     vary run to run.
+//     IDs in a trace are byte-identical run to run — only the timing
+//     fields (Start, Wall, stage durations) vary.
 //   - Sampling is a pure SplitMix64 hash of (seed, tick, sequence).
 //     Sequence numbers are allocated for *every* request, sampled or
 //     not, so the identity of any given span is stable at every sample
@@ -200,7 +199,7 @@ type Span struct {
 
 // ID returns the span's deterministic identifier: a SplitMix64 mix of
 // (Tick, Seq). Every span emitted at one tick holds a distinct Seq, so
-// IDs are unique within a trace and identical across worker counts.
+// IDs are unique within a trace and identical run to run.
 func (s *Span) ID() uint64 { return SpanID(s.Tick, s.Seq) }
 
 // Day returns the simulated day index of the span (days since epochNanos).
@@ -240,10 +239,8 @@ func Sampled(seed uint64, tick int64, seq uint32, sampleN uint64) bool {
 //
 // A Tracer is NOT safe for concurrent span emission. All span starts,
 // stage marks, ends, and instants must happen on the serial scheduler/
-// apply goroutine — which is where every platform mutation already
-// lives, so the constraint is free. The one concurrent entry point is
-// Section.ShardDone, which writes to disjoint per-shard slots and emits
-// nothing.
+// apply goroutine — which is where every platform mutation and every
+// plan phase already lives, so the constraint is free.
 type Tracer struct {
 	w         *Writer
 	seed      uint64
@@ -448,9 +445,8 @@ func (t *Tracer) Instant(kind Kind, actor uint64, action uint8, code uint8, pare
 }
 
 // Section is one in-flight step.RunInto section span: the per-shard
-// plan phase plus the serial apply phase. ShardDone may be called
-// concurrently (disjoint slots); StartSection and End must stay on the
-// serial goroutine. A nil *Section no-ops.
+// plan phase plus the apply phase, all on the world loop's goroutine.
+// A nil *Section no-ops.
 type Section struct {
 	t        *Tracer
 	span     Span
@@ -497,8 +493,7 @@ func (t *Tracer) StartSection(n int) *Section {
 	return s
 }
 
-// ShardDone records one shard's plan phase. Safe to call concurrently
-// from pool workers: each shard writes only its own slot.
+// ShardDone records one shard's plan phase in the shard's own slot.
 func (s *Section) ShardDone(shard int, d time.Duration, intents int) {
 	if s == nil {
 		return
@@ -509,8 +504,8 @@ func (s *Section) ShardDone(shard int, d time.Duration, intents int) {
 
 // End closes the section with the serial apply phase's duration and
 // intent count, emits the section span, then its per-shard plan
-// children in shard order — all on the serial goroutine, after the
-// worker barrier, so emission order is deterministic.
+// children in shard order, after the plan barrier, so emission order is
+// deterministic.
 func (s *Section) End(applyDur time.Duration, applied int) {
 	if s == nil {
 		return
